@@ -4,10 +4,12 @@ Times six things and writes ``BENCH_runner.json`` plus
 ``BENCH_obs.json``:
 
 * **engine microbenchmark** — raw discrete-event throughput
-  (events/second, best of 3) on a process-churn loop — with the
-  calendar queue's tier counters (bucket hits, overflow-heap inserts,
-  per-cycle batch sizes) — and on a cancellation-heavy loop (the
-  lazy-deletion/compaction path);
+  (events/second, best of 3) of the engine's one run loop on the
+  machine's own callback shapes (self-rescheduling bound methods with
+  an argument through ``schedule``, a fixed share through cancellable
+  ``call_at`` handles) — with the calendar queue's tier counters
+  (bucket hits, overflow-heap inserts, per-cycle batch sizes) — and on
+  a cancellation-heavy loop (the lazy-deletion/compaction path);
 * **runner sweep, serial vs parallel vs auto** — a small fixed
   multiprogrammed sweep through :func:`repro.runner.run_specs` at
   ``jobs=1``, forced ``mode="parallel"`` at ``jobs=N``, and
@@ -34,8 +36,8 @@ Times six things and writes ``BENCH_runner.json`` plus
 * **observability overhead** — one multiprogrammed run with the
   :class:`~repro.obs.Observatory` disabled vs enabled (best of N),
   asserting the metrics stay bit-identical and gating the events/sec
-  regression at 10%, plus an :class:`~repro.obs.EngineProfiler`
-  breakdown of where engine time goes (``BENCH_obs.json``).
+  regression at 10% (``BENCH_obs.json``). Per-layer time attribution
+  is ``perfbench/run.py --trace 1``'s job, not this script's.
 
 Run it from the repo root::
 
@@ -59,9 +61,8 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.multiprog import multiprog_spec
 from repro.experiments.workloads import make_workload
 from repro.machine.machine import Machine
-from repro.obs import EngineProfiler
 from repro.runner import ResultCache, default_jobs, run_specs
-from repro.sim.engine import _NO_ARG, Delay, Engine
+from repro.sim.engine import _NO_ARG, Engine
 
 #: Maximum tolerated events/sec regression with observability enabled.
 OBS_OVERHEAD_LIMIT = 0.10
@@ -76,24 +77,47 @@ SMOKE_SPECS = [
 ]
 
 
-def bench_engine_events(n_procs: int = 50, steps: int = 2000,
-                        repeats: int = 3) -> dict:
-    """Events/second on a many-process Delay loop, best of ``repeats``.
+class _Ticker:
+    """A self-rescheduling callback in the shapes the machine schedules:
+    a bound method plus an argument through ``schedule`` (the ``(fn,
+    arg)`` pair), with every ``handle_every``-th step taken through a
+    cancellable ``call_at`` handle instead."""
 
-    Also records the calendar queue's tier counters from the fastest
-    run: bucket hits vs overflow-heap inserts, and how coarse the
-    per-cycle batching ran.
+    __slots__ = ("engine", "delay", "handle_every")
+
+    def __init__(self, engine: Engine, delay: int,
+                 handle_every: int) -> None:
+        self.engine = engine
+        self.delay = delay
+        self.handle_every = handle_every
+
+    def tick(self, left: int) -> None:
+        if left:
+            engine = self.engine
+            when = engine.now + self.delay
+            if left % self.handle_every:
+                engine.schedule(when, self.tick, left - 1)
+            else:
+                engine.call_at(when, self.tick, left - 1)
+
+
+def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
+                        handle_every: int = 4,
+                        repeats: int = 3) -> dict:
+    """Events/second of :meth:`Engine.run` on ``n_tickers``
+    self-rescheduling callbacks, best of ``repeats``.
+
+    One step in ``handle_every`` goes through a cancellable ``call_at``
+    handle, the rest through handle-free ``schedule``. Also records the
+    calendar queue's tier counters from the fastest run: bucket hits vs
+    overflow-heap inserts, and how coarse the per-cycle batching ran.
     """
 
     def one_run():
         engine = Engine()
-
-        def proc(i):
-            for _ in range(steps):
-                yield Delay(3 + (i % 7))
-
-        for i in range(n_procs):
-            engine.process(proc(i), name=f"p{i}")
+        for i in range(n_tickers):
+            ticker = _Ticker(engine, 3 + (i % 7), handle_every)
+            engine.schedule(0, ticker.tick, steps)
         start = time.perf_counter()
         engine.run()
         wall = time.perf_counter() - start
@@ -221,9 +245,6 @@ def _attach_closure_counter(engine) -> dict:
 
     engine.call_at = call_at
     engine.schedule = schedule
-    # Route the processes' inlined Delay resumes back through
-    # engine.schedule so the shim really does see every callback.
-    engine._shadowed = True
     return counts
 
 
@@ -455,10 +476,10 @@ def bench_shard(shards: int = 2,
     }
 
 
-def _obs_run(obs_interval=None, profile=False):
+def _obs_run(obs_interval=None):
     """One multiprogrammed barrier-vs-null run, timed.
 
-    Returns ``(metrics, events_executed, wall_seconds, profiler)``.
+    Returns ``(metrics, events_executed, wall_seconds)``.
     The workload matches the obs e2e tests: 8 nodes, 10% skew, fast
     scale — long enough to time, short enough for CI.
     """
@@ -471,20 +492,14 @@ def _obs_run(obs_interval=None, profile=False):
     observatory = None
     if obs_interval is not None:
         observatory = machine.enable_observability(obs_interval)
-    profiler = None
-    if profile:
-        profiler = EngineProfiler(machine.engine)
-        profiler.attach()
     machine.start()
     start = time.perf_counter()
     machine.run_until_job_done(job, limit=50_000_000_000)
     wall = time.perf_counter() - start
-    if profiler is not None:
-        profiler.detach()
     metrics = collect_metrics(machine, job)
     if observatory is not None:
         observatory.finalize()
-    return metrics, machine.engine.events_executed, wall, profiler
+    return metrics, machine.engine.events_executed, wall
 
 
 def bench_obs(repeats: int = 3) -> dict:
@@ -502,17 +517,15 @@ def bench_obs(repeats: int = 3) -> dict:
     base_metrics = asdict(disabled[0][0])
     metrics_identical = all(
         asdict(m) == base_metrics
-        for m, _e, _w, _p in disabled[1:] + enabled
+        for m, _e, _w in disabled[1:] + enabled
     )
 
     def best_eps(runs):
-        return max(events / wall for _m, events, wall, _p in runs)
+        return max(events / wall for _m, events, wall in runs)
 
     disabled_eps = best_eps(disabled)
     enabled_eps = best_eps(enabled)
     overhead = 1.0 - enabled_eps / disabled_eps
-
-    _m, events, wall, profiler = _obs_run(profile=True)
     return {
         "repeats": repeats,
         "disabled_events_per_second": disabled_eps,
@@ -521,7 +534,6 @@ def bench_obs(repeats: int = 3) -> dict:
         "overhead_limit": OBS_OVERHEAD_LIMIT,
         "metrics_identical": metrics_identical,
         "gate_ok": metrics_identical and overhead <= OBS_OVERHEAD_LIMIT,
-        "profile": profiler.report(wall_seconds=wall),
     }
 
 
@@ -600,9 +612,6 @@ def main(argv=None) -> int:
           f"events/s (overhead {obs['overhead_fraction']:+.1%}, "
           f"limit {obs['overhead_limit']:.0%}), metrics identical: "
           f"{obs['metrics_identical']}")
-    top = obs["profile"]["subsystems"][:3]
-    print("profile: " + ", ".join(
-        f"{s['subsystem']} {s['share']:.0%}" for s in top))
     print(f"wrote {args.out} and {args.obs_out}")
     return 0 if (sweep["serial_parallel_identical"]
                  and sweep["cache_replay_identical"]

@@ -244,22 +244,19 @@ class Machine:
             self.obs.start()
         self.scheduler.start()
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Run the event loop; see :meth:`repro.sim.engine.Engine.run`."""
         if not self._started:
             self.start()
-        return self.engine.run(until=until, max_events=max_events)
+        return self.engine.run(until=until)
 
     def run_until_job_done(self, job: Job,
                            limit: Optional[int] = None) -> int:
         """Run until ``job`` finishes (or ``limit`` cycles elapse).
 
-        Dispatches through the engine's batched :meth:`Engine.run` loop
-        with ``job.done`` wired to :meth:`Engine.stop`, so completion
-        halts the loop right after the finishing event — the same exit
-        point as the old one-``step()``-at-a-time loop, without paying
-        a Python-level call per event.
+        Dispatches through the engine's :meth:`Engine.run` loop with
+        ``job.done`` wired to :meth:`Engine.stop`, so completion halts
+        the loop right after the finishing event.
 
         Raises RuntimeError if the event queues drain with the job
         unfinished — a deadlocked or wedged application is a bug worth

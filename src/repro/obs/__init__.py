@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional
 from repro.core.two_case import TransitionReason
 from repro.obs.export import (render_obs_report, sparkline, write_jsonl,
                               write_validation_jsonl)
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import (Counter, DuplicateMetric, Gauge, Histogram,
                                 MetricRegistry)
 from repro.obs.snapshots import TimelineSampler, take_sample
@@ -373,7 +372,7 @@ class Observatory:
 
 __all__ = [
     "Observatory", "MetricRegistry", "Counter", "Gauge", "Histogram",
-    "DuplicateMetric", "TimelineSampler", "take_sample", "EngineProfiler",
+    "DuplicateMetric", "TimelineSampler", "take_sample",
     "render_obs_report", "write_jsonl", "write_validation_jsonl",
     "sparkline",
     "DEFAULT_SAMPLE_INTERVAL",

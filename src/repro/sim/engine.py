@@ -1,16 +1,17 @@
-"""The discrete-event engine: clock, calendar queue and generator processes.
+"""The discrete-event engine: clock, calendar queue and one run loop.
 
 The engine is deliberately small. All simulation behaviour above it is
-expressed either as scheduled callbacks or as *processes* — Python
-generators that yield:
+expressed as scheduled callbacks, in one of three shapes:
 
-* ``Delay(cycles)`` — resume after ``cycles`` simulated cycles;
-* an :class:`~repro.sim.events.Event` — resume when it triggers, with
-  ``event.value`` sent into the generator.
+* a bare callable, run as ``fn()``;
+* an ``(fn, arg)`` pair, run as ``fn(arg)`` — what :meth:`Engine.schedule`
+  stores when given an argument, so callers need no closure;
+* a cancellable ``_ScheduledCall`` handle returned by
+  :meth:`Engine.call_at`.
 
-Processes may also raise ``StopIteration`` (returning a value) which
-triggers the process's ``done`` event, so processes can wait for each
-other by yielding ``other_process.done``.
+The machine's processor frames, NI arrivals and fabric hops are all
+plain callbacks of these shapes; generator-driven work lives above the
+engine (see :mod:`repro.machine.processor`).
 
 Two-case scheduling
 -------------------
@@ -55,14 +56,15 @@ Ordering is exactly the heap engine's global ``(time, seq)`` FIFO:
   any later direct insert, in heap ``(time, seq)`` order. Append order
   therefore equals global schedule order in every bucket.
 
-``run()`` batch-drains a whole cycle's bucket (then the run queue) in
-one inner loop with attribute lookups hoisted and the four callback
-shapes — Delay-resumed process, bare callable, ``(fn, arg)`` pair,
-cancellable entry — specialized by exact class check. The process
-shape is the hottest (every NI arrival, fabric hop and processor
-resume is a generator resumption), so the unbounded loop sends into
-the generator and re-buckets the next Delay inline, with no wrapper
-frame per event.
+One run loop
+------------
+
+:meth:`Engine.run` is the only dispatch loop. It drains a cycle's
+bucket, then the run queue, with attribute lookups hoisted and the
+three callback shapes told apart by exact class check. ``until`` and
+``max_events`` bound it; :meth:`Engine.stop` halts it after the current
+event in every run, so ``job.done.subscribe(engine.stop)`` exits right
+after the finishing event.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
 time) disables the same-cycle run queue: same-cycle schedules then
@@ -77,9 +79,7 @@ import heapq
 import os
 from collections import deque
 from sys import getrefcount
-from typing import Any, Callable, Generator, List, Optional
-
-from repro.sim.events import Event
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -100,43 +100,6 @@ class _Sentinel:
 _NO_ARG = _Sentinel("no-arg")
 #: Overflow-heap marker in slot 3: slot 2 holds a cancellable entry.
 _ENTRY = _Sentinel("entry")
-
-
-class Delay:
-    """Yielded by a process to advance simulated time by ``cycles``.
-
-    Small delays are interned: ``Delay(c)`` for ``0 <= c < 1024``
-    returns a shared immutable instance (the cost-model constants that
-    dominate simulation delays all fall in this range, and a process
-    yields one ``Delay`` per resumption — the allocation is measurable
-    at calendar-queue dispatch speeds). Never mutate ``cycles``.
-    """
-
-    __slots__ = ("cycles",)
-
-    def __new__(cls, cycles: int) -> "Delay":
-        if cls is Delay and type(cycles) is int and 0 <= cycles < 1024:
-            return _DELAY_CACHE[cycles]
-        self = object.__new__(cls)
-        if cycles < 0:
-            raise ValueError(f"negative delay: {cycles}")
-        self.cycles = cycles if type(cycles) is int else int(cycles)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.cycles})"
-
-
-def _build_delay_cache() -> List[Delay]:
-    cache = []
-    for cycles in range(1024):
-        delay = object.__new__(Delay)
-        delay.cycles = cycles
-        cache.append(delay)
-    return cache
-
-
-_DELAY_CACHE = _build_delay_cache()
 
 
 class _ScheduledCall:
@@ -168,129 +131,6 @@ class _ScheduledCall:
             self.cancelled = True
             if self.engine is not None:
                 self.engine._note_cancelled()
-
-
-ProcessGen = Generator[Any, Any, Any]
-
-
-class Process:
-    """A generator coroutine driven by the engine.
-
-    The process finishes when the generator returns; its return value is
-    delivered on the ``done`` event. Uncaught exceptions in a process are
-    re-raised out of :meth:`Engine.run` — silent process death hides
-    bugs.
-    """
-
-    __slots__ = ("engine", "gen", "name", "done", "_waiting_on",
-                 "_bound_step", "_bound_on_event", "_gen_send")
-
-    def __init__(self, engine: "Engine", gen: ProcessGen, name: str = "") -> None:
-        self.engine = engine
-        self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
-        self.done = Event(f"{self.name}.done")
-        self._waiting_on: Optional[Event] = None
-        # Bound methods are cached once: every Delay resumption schedules
-        # `_step`, and creating a fresh bound-method object per event is
-        # measurable at calendar-queue speeds.
-        self._bound_step = self._step
-        self._bound_on_event = self._on_event
-        self._gen_send = gen.send
-
-    @property
-    def finished(self) -> bool:
-        return self.done.triggered
-
-    def _step(self, send_value: Any = None) -> None:
-        try:
-            target = self._gen_send(send_value)
-        except StopIteration as stop:
-            self.done.trigger(stop.value)
-            return
-        self._dispatch(target)
-
-    def _dispatch(self, target: Any) -> None:
-        """Suspend on whatever the generator yielded.
-
-        Exact-type checks first: Delay/Event/Process are effectively
-        final in the hot path, and ``type(x) is C`` is markedly cheaper
-        than isinstance(). The isinstance() fallback keeps subclasses
-        working. A Delay resumption needs no cancellation handle: the
-        *process itself* goes into the calendar bucket (or run queue)
-        as the scheduled item, which lets the engine's drain loops
-        resume the generator without a wrapper frame — unless something
-        shadows the engine's scheduling methods, in which case the
-        resume is routed through ``engine.schedule`` so the shadow
-        sees every event (the profiler and benchmark shims rely on
-        that funnel).
-        """
-        engine = self.engine
-        cls = target.__class__
-        if cls is Delay:
-            if engine._shadowed:
-                engine.schedule(engine.now + target.cycles, self._bound_step)
-                return
-            cycles = target.cycles
-            if cycles > 0:
-                if cycles < engine._window:
-                    engine._ring[(engine.now + cycles)
-                                 & engine._mask].append(self)
-                    engine._ring_count += 1
-                else:
-                    engine._seq += 1
-                    heapq.heappush(
-                        engine._heap,
-                        (engine.now + cycles, engine._seq, self, _NO_ARG))
-                    engine._overflow_scheduled += 1
-            elif engine.fastpath:
-                engine._runq.append(self)
-            else:
-                engine._ring[engine.now & engine._mask].append(self)
-                engine._ring_count += 1
-        elif cls is Event:
-            self._waiting_on = target
-            target.subscribe(self._bound_on_event)
-        elif cls is Process:
-            self._waiting_on = target.done
-            target.done.subscribe(self._bound_on_event)
-        elif isinstance(target, Delay):
-            engine.schedule(engine.now + target.cycles, self._bound_step)
-        elif isinstance(target, Event):
-            self._waiting_on = target
-            target.subscribe(self._bound_on_event)
-        elif isinstance(target, Process):
-            self._waiting_on = target.done
-            target.done.subscribe(self._bound_on_event)
-        else:
-            raise SimulationError(
-                f"process {self.name} yielded unsupported {target!r}"
-            )
-
-    def _on_event(self, value: Any) -> None:
-        self._waiting_on = None
-        self._step(value)
-
-    def interrupt_wait(self) -> bool:
-        """Detach the process from the event it is waiting on.
-
-        Used by preemption machinery (the processor model) to steal a
-        process back from a wait. Returns True if a wait was cancelled.
-        The caller becomes responsible for stepping the process again.
-        """
-        if self._waiting_on is None:
-            return False
-        self._waiting_on.unsubscribe(self._bound_on_event)
-        self._waiting_on = None
-        return True
-
-    def resume(self, send_value: Any = None) -> None:
-        """Step the process immediately (used after ``interrupt_wait``)."""
-        self._step(send_value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.finished else "running"
-        return f"<Process {self.name} {state}>"
 
 
 def _window_from_costs() -> int:
@@ -331,7 +171,7 @@ _COMPACT_MIN_CANCELLED = 512
 _FREELIST_MAX = 1024
 
 #: Sentinel bound for run(until=None, max_events=None): compares greater
-#: than every int, so the bounded loop needs no per-event None checks.
+#: than every int, so the run loop needs no per-event None checks.
 _UNBOUNDED = float("inf")
 
 
@@ -380,14 +220,8 @@ class Engine:
         #: Retired entries available for reuse (allocation recycling).
         self._free: List[_ScheduledCall] = []
         #: Cooperative stop flag: set by :meth:`stop`, cleared by
-        #: :meth:`run`, checked between events (bounded runs) or batches.
+        #: :meth:`run`, checked before every event.
         self._stop: bool = False
-        #: True while something (the profiler, a benchmark shim) has
-        #: shadowed ``call_at``/``schedule`` with instance-attribute
-        #: wrappers: processes then route Delay resumes through
-        #: ``engine.schedule`` instead of the inlined bucket append, so
-        #: the shadow observes every scheduled callback.
-        self._shadowed: bool = False
         #: False forces same-cycle schedules into the live bucket (set
         #: from the REPRO_NO_FASTPATH environment variable).
         self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
@@ -413,7 +247,7 @@ class Engine:
         skipped (and accounted) at drain anyway.
         """
         removed = 0
-        # In place: run()'s loops hold references to these containers.
+        # In place: run() holds references to these containers.
         heap = self._heap
         live = [item for item in heap
                 if item[3] is not _ENTRY or not item[2].cancelled]
@@ -517,21 +351,6 @@ class Engine:
         """Run ``fn`` this cycle, after already-pending same-cycle
         events (handle-free)."""
         self.schedule(self.now, fn, arg)
-
-    def timeout(self, delay: int, event: Event, value: Any = None) -> _ScheduledCall:
-        """Trigger ``event`` with ``value`` after ``delay`` cycles."""
-        return self.call_at(self.now + delay, event.trigger, value)
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
-        """Start driving generator ``gen`` as a process (first step now)."""
-        proc = Process(self, gen, name)
-        # Defer the first step to the event loop so that creation order
-        # does not interleave half-started coroutines.
-        self.schedule(self.now, proc._bound_step)
-        return proc
 
     # ------------------------------------------------------------------
     # Queue maintenance
@@ -643,276 +462,23 @@ class Engine:
     # Main loop
     # ------------------------------------------------------------------
     def stop(self, _value: Any = None) -> None:
-        """Ask :meth:`run` to return after the current event (bounded
-        runs) or bucket batch. The signature accepts one ignored value
-        so ``event.subscribe(engine.stop)`` works directly."""
+        """Ask :meth:`run` to return after the current event. The
+        signature accepts one ignored value so
+        ``event.subscribe(engine.stop)`` works directly."""
         self._stop = True
-
-    def step(self) -> bool:
-        """Run the single earliest event. Returns False if none remain."""
-        bucket = self._ring[self.now & self._mask]
-        while bucket:
-            item = bucket[0]
-            del bucket[0]
-            self._ring_count -= 1
-            cls = item.__class__
-            if cls is _ScheduledCall:
-                if item.cancelled:
-                    self._cancelled_pending -= 1
-                    self._retire(item)
-                    continue
-                fn = item.fn
-                arg = item.arg
-                self._retire(item)
-            elif cls is tuple:
-                fn, arg = item
-            elif cls is Process:
-                fn = item._bound_step
-                arg = _NO_ARG
-            else:
-                fn = item
-                arg = _NO_ARG
-            self._events_executed += 1
-            self._ring_executed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-        runq = self._runq
-        while runq:
-            item = runq.popleft()
-            cls = item.__class__
-            if cls is _ScheduledCall:
-                if item.cancelled:
-                    self._cancelled_pending -= 1
-                    self._retire(item)
-                    continue
-                fn = item.fn
-                arg = item.arg
-                self._retire(item)
-            elif cls is tuple:
-                fn, arg = item
-            elif cls is Process:
-                fn = item._bound_step
-                arg = _NO_ARG
-            else:
-                fn = item
-                arg = _NO_ARG
-            self._events_executed += 1
-            self._runq_executed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-        t = self._next_timed_time()
-        if t is None:
-            return False
-        self.now = t
-        heap = self._heap
-        if heap and heap[0][0] < t + self._window:
-            self._pull_overflow(t + self._window)
-        # The target bucket now has a live item at its front (the scan
-        # cleaned cancelled fronts; a heap-sourced advance pulled at
-        # least its own live head), so this recursion executes exactly
-        # one event.
-        return self.step()
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         """Run events until nothing is pending, ``until`` cycles,
         ``max_events`` events have executed, or :meth:`stop` is called.
-        Returns the final time."""
+        Returns the final time.
+
+        The one dispatch loop: the budget and stop flag are checked
+        before every event and the counters updated after it (timeline
+        samplers read them mid-run); a bucket left early is consumed
+        only up to the last event run.
+        """
         self._stop = False
-        if until is None and max_events is None:
-            return self._run_fast()
-        return self._run_bounded(until, max_events)
-
-    def _run_fast(self) -> int:
-        """The unbounded hot loop: whole-bucket batches, counters
-        flushed per batch, stop checked per batch."""
-        ring = self._ring
-        mask = self._mask
-        runq = self._runq
-        heap = self._heap
-        free = self._free
-        refcount = getrefcount
-        window = self._window
-        entry_cls = _ScheduledCall
-        tuple_cls = tuple
-        proc_cls = Process
-        delay_cls = Delay
-        heappush = heapq.heappush
-        no_arg = _NO_ARG
-        cap = _FREELIST_MAX
-        fastpath = self.fastpath
-        now = self.now
-        if heap and heap[0][0] < now + window:
-            self._pull_overflow(now + window)
-        while True:
-            bucket = ring[now & mask]
-            if bucket:
-                cancelled = 0
-                shadowed = self._shadowed
-                # A plain for-loop picks up same-cycle appends made by
-                # the callbacks it runs (general mode schedules at
-                # `now` into this very bucket).
-                for item in bucket:
-                    cls = item.__class__
-                    if cls is proc_cls:
-                        # The hottest shape: a Delay-resumed process.
-                        # Resume the generator and reschedule the next
-                        # Delay right here, skipping the _step frame.
-                        try:
-                            target = item._gen_send(None)
-                        except StopIteration as stop:
-                            item.done.trigger(stop.value)
-                            continue
-                        if target.__class__ is delay_cls and not shadowed:
-                            cycles = target.cycles
-                            if cycles > 0:
-                                if cycles < window:
-                                    ring[(now + cycles) & mask].append(item)
-                                    self._ring_count += 1
-                                else:
-                                    self._seq += 1
-                                    heappush(heap, (now + cycles, self._seq,
-                                                    item, no_arg))
-                                    self._overflow_scheduled += 1
-                            elif fastpath:
-                                runq.append(item)
-                            else:
-                                bucket.append(item)
-                                self._ring_count += 1
-                        else:
-                            item._dispatch(target)
-                    elif cls is tuple_cls:
-                        fn, arg = item
-                        fn(arg)
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            cancelled += 1
-                            if refcount(item) == 3 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
-                            continue
-                        fn = item.fn
-                        arg = item.arg
-                        if refcount(item) == 3 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
-                        if arg is no_arg:
-                            fn()
-                        else:
-                            fn(arg)
-                    else:
-                        item()
-                n = len(bucket)
-                del bucket[:]
-                self._ring_count -= n
-                if cancelled:
-                    self._cancelled_pending -= cancelled
-                    n -= cancelled
-                if n:
-                    self._events_executed += n
-                    self._ring_executed += n
-                    self._cycle_batches += 1
-                if self._stop:
-                    return now
-            if runq:
-                executed = 0
-                shadowed = self._shadowed
-                while runq:
-                    item = runq.popleft()
-                    cls = item.__class__
-                    if cls is proc_cls:
-                        executed += 1
-                        try:
-                            target = item._gen_send(None)
-                        except StopIteration as stop:
-                            item.done.trigger(stop.value)
-                            continue
-                        if target.__class__ is delay_cls and not shadowed:
-                            cycles = target.cycles
-                            if cycles > 0:
-                                if cycles < window:
-                                    ring[(now + cycles) & mask].append(item)
-                                    self._ring_count += 1
-                                else:
-                                    self._seq += 1
-                                    heappush(heap, (now + cycles, self._seq,
-                                                    item, no_arg))
-                                    self._overflow_scheduled += 1
-                            else:
-                                # cycles == 0 on the fast path: straight
-                                # back onto the run queue.
-                                runq.append(item)
-                        else:
-                            item._dispatch(target)
-                    elif cls is tuple_cls:
-                        fn, arg = item
-                        executed += 1
-                        fn(arg)
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            self._cancelled_pending -= 1
-                            if refcount(item) == 2 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
-                            continue
-                        fn = item.fn
-                        arg = item.arg
-                        if refcount(item) == 2 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
-                        executed += 1
-                        if arg is no_arg:
-                            fn()
-                        else:
-                            fn(arg)
-                    else:
-                        executed += 1
-                        item()
-                if executed:
-                    self._events_executed += executed
-                    self._runq_executed += executed
-                if self._stop:
-                    return now
-            # Advance: nearest nonempty bucket, else the overflow tier.
-            if self._ring_count:
-                t = now + 1
-                end = now + window
-                while not ring[t & mask]:
-                    t += 1
-                    if t == end:
-                        raise SimulationError(
-                            "calendar ring accounting corrupt: "
-                            f"{self._ring_count} items not found in window"
-                        )
-                now = t
-                self.now = t
-                if heap and heap[0][0] < t + window:
-                    self._pull_overflow(t + window)
-            elif heap:
-                t = self._next_live_heap_time()
-                if t is None:
-                    return now
-                now = t
-                self.now = t
-                self._pull_overflow(t + window)
-            else:
-                return now
-
-    def _run_bounded(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """The bounded loop: per-event budget/stop checks and counter
-        updates (timeline samplers read them mid-run), partial bucket
-        consumption on early exit."""
         now = self.now
         if until is not None and until < now:
             return now
@@ -925,7 +491,6 @@ class Engine:
         window = self._window
         entry_cls = _ScheduledCall
         tuple_cls = tuple
-        proc_cls = Process
         no_arg = _NO_ARG
         cap = _FREELIST_MAX
         stop_bound = _UNBOUNDED if until is None else until
@@ -958,9 +523,6 @@ class Engine:
                             item.fn = None
                             item.arg = None
                             free.append(item)
-                    elif cls is proc_cls:
-                        fn = item._bound_step
-                        arg = no_arg
                     else:
                         fn = item
                         arg = no_arg
@@ -997,9 +559,6 @@ class Engine:
                         item.fn = None
                         item.arg = None
                         free.append(item)
-                elif cls is proc_cls:
-                    fn = item._bound_step
-                    arg = no_arg
                 else:
                     fn = item
                     arg = no_arg

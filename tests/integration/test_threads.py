@@ -100,7 +100,7 @@ class TestScheduling:
             lib = UserThreadLib()
             event = Event("external")
             lib.spawn(waiter(event))
-            rt.engine.timeout(5_000, event, "fired")
+            rt.engine.call_after(5_000, event.trigger, "fired")
             yield from lib.run()
             order.append(rt.engine.now)
 

@@ -9,13 +9,20 @@ far-future entries that cross the overflow boundary, entries that
 migrate from the overflow heap into the ring as the window slides,
 and lazy-deleted cancellations — with identical ``events_executed``
 and (for pre-run cancellation storms) ``compactions`` accounting.
+
+The random program is driven two ways: one unbounded ``run()``, and a
+sequence of ``run(until=t)`` windows with ``stop()`` raised from inside
+callbacks — the way shard workers and ``run_until_job_done`` drive the
+engine in real simulations.
 """
 
+import contextlib
 import heapq
 import os
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +53,9 @@ class ReferenceEngine:
     """A deliberately naive single-heap engine: the ordering spec.
 
     Mirrors the public scheduling API (``call_at``/``call_after``/
-    ``schedule``/``call_soon``/``run``) and the cancellation +
-    compaction accounting rules, with none of the calendar machinery.
+    ``schedule``/``call_soon``/``run``/``stop``/``peek_time``) and the
+    cancellation + compaction accounting rules, with none of the
+    calendar machinery.
     """
 
     def __init__(self, compact_min=None):
@@ -56,6 +64,7 @@ class ReferenceEngine:
         self._seq = 0
         self._events = 0
         self._cancelled = 0
+        self._stop = False
         self.compactions = 0
         self._compact_min = (engine_mod._COMPACT_MIN_CANCELLED
                              if compact_min is None else compact_min)
@@ -88,11 +97,29 @@ class ReferenceEngine:
     def call_soon(self, fn, arg=engine_mod._NO_ARG):
         self.call_at(self.now, fn, arg)
 
-    def run(self):
+    def stop(self, _value=None):
+        self._stop = True
+
+    def peek_time(self):
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
+
+    def run(self, until=None):
+        """Run until drained, past ``until`` (the clock then reads
+        ``until``) or stopped (the clock stays at the stopping event)."""
+        self._stop = False
+        if until is not None and until < self.now:
+            return self.now
         heap = self._heap
         no_arg = engine_mod._NO_ARG
-        while heap:
-            time, _seq, handle = heapq.heappop(heap)
+        while heap and not self._stop:
+            time, _seq, handle = heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(heap)
             if handle.cancelled:
                 self._cancelled -= 1
                 continue
@@ -102,6 +129,9 @@ class ReferenceEngine:
                 handle.fn()
             else:
                 handle.fn(handle.arg)
+        if not self._stop and until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     @property
     def events_executed(self):
@@ -112,16 +142,23 @@ class ReferenceEngine:
         return len(self._heap) - self._cancelled
 
 
-def _random_program(engine, seed, size):
+def _random_program(engine, seed, size, windowed=False):
     """A seeded self-rescheduling workload mixing every primitive.
 
     Delays are drawn from three bands: same-cycle, inside the calendar
     window, and far past it (overflow tier); handles are cancelled at
     random, including handles for already-pulled overflow entries.
+
+    ``windowed`` drives the engine as a sequence of ``run(until=t)``
+    windows of random length (zero included) instead of one ``run()``,
+    with callbacks calling ``stop()`` at random; after every window it
+    records the bound, what ``run`` returned, the clock, ``pending``
+    and ``events_executed``.
     """
     order = []
     rng = random.Random(seed)
     handles = deque()
+    windows = []
 
     def work(tag):
         order.append((engine.now, tag))
@@ -146,11 +183,39 @@ def _random_program(engine, seed, size):
         if handles and rng.random() < 0.25:
             handles.rotate(rng.randrange(len(handles)))
             handles.popleft().cancel()
+        if windowed and rng.random() < 0.05:
+            engine.stop()
 
     for i in range(6):
         engine.schedule(rng.randrange(3), work, str(i))
-    engine.run()
-    return order, engine.events_executed, engine.pending
+    if not windowed:
+        engine.run()
+        return order, engine.events_executed, engine.pending
+    bound = 0
+    while engine.peek_time() is not None:
+        bound += rng.randrange(WINDOW * 4)
+        returned = engine.run(until=bound)
+        windows.append((bound, returned, engine.now, engine.pending,
+                        engine.events_executed))
+    return order, engine.events_executed, engine.pending, windows
+
+
+@contextlib.contextmanager
+def _fastpath_disabled():
+    """Set ``REPRO_NO_FASTPATH`` for engines built inside the block.
+
+    Inline env handling: hypothesis reuses one fixture instance across
+    examples, so monkeypatch is off-limits here.
+    """
+    saved = os.environ.get("REPRO_NO_FASTPATH")
+    os.environ["REPRO_NO_FASTPATH"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -164,19 +229,40 @@ def test_calendar_matches_reference_heap_order(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_general_mode_matches_reference_heap_order(seed):
-    # Inline env handling: hypothesis reuses one fixture instance
-    # across examples, so monkeypatch is off-limits here.
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    os.environ["REPRO_NO_FASTPATH"] = "1"
-    try:
+    with _fastpath_disabled():
         calendar = _random_program(Engine(window=WINDOW), seed, 400)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
     reference = _random_program(ReferenceEngine(), seed, 400)
     assert calendar == reference
+
+
+@pytest.mark.parametrize("mode", ["fast", "general"])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_windowed_runs_with_stop_match_reference(mode, seed):
+    """``run(until=t)`` windows and in-callback ``stop()`` keep the
+    reference order, event count and ``pending`` after every window,
+    with and without the same-cycle run queue."""
+    env = _fastpath_disabled() if mode == "general" \
+        else contextlib.nullcontext()
+    with env:
+        engine = Engine(window=WINDOW)
+    assert engine.fastpath is (mode == "fast")
+    calendar = _random_program(engine, seed, 400, windowed=True)
+    reference = _random_program(ReferenceEngine(), seed, 400,
+                                windowed=True)
+    assert calendar == reference
+
+
+def test_windowed_driver_exercises_stops_and_clamps():
+    """The windowed input really covers both early exits: windows cut
+    short by ``stop()`` and windows that end with the clock clamped to
+    their bound."""
+    windows = []
+    for seed in range(10):
+        windows += _random_program(Engine(window=WINDOW), seed, 400,
+                                   windowed=True)[3]
+    assert any(returned < bound for bound, returned, *_ in windows)
+    assert any(returned == bound for bound, returned, *_ in windows)
 
 
 @given(

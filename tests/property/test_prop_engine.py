@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine.processor import Compute, Frame, Processor
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRng
 
 
@@ -20,21 +20,6 @@ def test_callbacks_fire_in_nondecreasing_time_order(delays):
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
     assert engine.now == max(delays)
-
-
-@given(chunks=st.lists(st.integers(min_value=0, max_value=200),
-                       min_size=1, max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_process_delay_sum_equals_final_time(chunks):
-    engine = Engine()
-
-    def proc():
-        for c in chunks:
-            yield Delay(c)
-
-    engine.process(proc())
-    engine.run()
-    assert engine.now == sum(chunks)
 
 
 @given(

@@ -9,8 +9,7 @@ and custom window sizes.
 
 import pytest
 
-from repro.sim.engine import (_DEFAULT_WINDOW, Delay, Engine,
-                              SimulationError)
+from repro.sim.engine import _DEFAULT_WINDOW, Engine, SimulationError
 
 
 class TestTiering:
@@ -76,13 +75,12 @@ class TestTiering:
         engine = Engine(window=16)
         trace = []
 
-        def proc():
-            yield Delay(2)
+        def hop(delay):
             trace.append(engine.now)
-            yield Delay(1000)
-            trace.append(engine.now)
+            if delay:
+                engine.schedule(engine.now + delay, hop, 0)
 
-        engine.process(proc())
+        engine.schedule(2, hop, 1000)
         engine.run()
         assert trace == [2, 1002]
         assert engine.overflow_scheduled == 1
@@ -205,15 +203,29 @@ class TestCountersAndStop:
         engine.run()
         assert engine.now == 5
 
-    def test_process_resume_counts_as_ring_event(self):
+    def test_stop_halts_after_current_event(self):
+        """stop() ends the run after the event that raised it, even
+        with more events due in the same bucket."""
+        engine = Engine()
+        ran = []
+        engine.call_after(5, engine.stop)
+        engine.call_after(5, ran.append, "same-cycle")
+        engine.run()
+        assert ran == []
+        assert engine.now == 5
+        assert engine.pending == 1
+        engine.run()
+        assert ran == ["same-cycle"]
+
+    def test_rescheduled_callback_counts_as_ring_event(self):
         engine = Engine()
 
-        def proc():
-            yield Delay(7)
+        def start():
+            engine.schedule(engine.now + 7, lambda: None)
 
-        engine.process(proc())
+        engine.call_soon(start)
         engine.run()
-        # first step (runq) + one Delay resume (ring bucket).
+        # first step (runq) + one timed resume (ring bucket).
         assert engine.runq_events == 1
         assert engine.ring_events == 1
 
@@ -239,8 +251,9 @@ class TestCustomWindow:
         engine.call_soon(fired.append, "now")
         engine.call_after(3, fired.append, "ring")
         engine.call_after(1000, fired.append, "overflow")
-        while engine.step():
-            pass
+        while engine.peek_time() is not None:
+            engine.run(max_events=1)
         assert fired == ["now", "ring", "overflow"]
         assert engine.now == 1000
-        assert engine.step() is False
+        assert engine.run(max_events=1) == 1000
+        assert engine.events_executed == 3

@@ -50,7 +50,7 @@ class TestBasicExecution:
             got.append((engine.now, value))
 
         proc.push_frame(Frame(gen(), "w"))
-        engine.timeout(30, event, "data")
+        engine.call_after(30, event.trigger, "data")
         engine.run()
         assert got == [(30, "data")]
 
@@ -177,7 +177,7 @@ class TestPreemption:
         proc.push_frame(Frame(base(), "base"))
         engine.call_after(5, lambda: proc.raise_kernel(
             lambda: Frame(kernel(), "k", kernel=True)))
-        engine.timeout(20, event, "late")  # fires mid-kernel
+        engine.call_after(20, event.trigger, "late")  # fires mid-kernel
         engine.run()
         assert trace == [("late", 55)]
 

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Delay, Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 
 @pytest.fixture
@@ -146,17 +146,23 @@ class TestHeapVsRunQueueOrdering:
         assert engine.events_executed == 2
         assert engine.ring_events == 2
 
-    def test_process_first_steps_preserve_creation_order(self, monkeypatch):
+    def test_chain_first_steps_preserve_creation_order(self, monkeypatch):
+        """Callback chains started this cycle (the shape a processor
+        frame takes: a first step deferred to the loop, then a
+        self-reschedule) run their first steps in creation order."""
+
         def program(engine):
             order = []
 
-            def proc(i):
-                order.append(("start", i, engine.now))
-                yield Delay(i + 1)
+            def finish(i):
                 order.append(("end", i, engine.now))
 
+            def start(i):
+                order.append(("start", i, engine.now))
+                engine.schedule(engine.now + i + 1, finish, i)
+
             for i in range(4):
-                engine.process(proc(i))
+                engine.call_soon(start, i)
             engine.run()
             return order
 
@@ -230,9 +236,12 @@ class TestStepAndPeekWithRunQueue:
 
         engine.call_at(3, seed)
         engine.call_at(3, lambda: order.append("heap-2"))
-        while engine.step():
-            pass
+        steps = 0
+        while engine.peek_time() is not None:
+            engine.run(max_events=1)
+            steps += 1
         assert order == ["heap", "heap-2", "runq"]
+        assert steps == engine.events_executed == 3
 
     def test_run_until_stops_with_pending_runq_empty(self):
         engine = Engine()
