@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Generator
 
-from repro.machine.processor import Compute
+from repro.machine.processor import Compute, Poll
 from repro.core.udm import UdmRuntime
 
 
@@ -109,6 +109,6 @@ class CollectiveOps:
         yield from rt.inject(0, self._h_arrive, (epoch, contribute))
         # Wait for the release; interrupts stay enabled so the release
         # handler can run. Poll the epoch watermark with short sleeps.
-        while self._released[node] <= epoch:
-            yield Compute(40)
+        released = self._released
+        yield Poll(lambda: released[node] > epoch, 40)
         return self._reduce_result[node].pop(epoch)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
+from repro.machine.processor import Compute, Poll
 from repro.core.udm import UdmRuntime
 from repro.sim.random import DeterministicRng
 
@@ -108,6 +108,7 @@ class SynthApplication(Application):
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         rng = DeterministicRng(self.seed, f"synth/{node_index}")
         others = self._peers(node_index)
+        acks = self._acks
         sent = 0
         while sent < self.total_messages_per_node:
             group = min(self.group_size, self.total_messages_per_node - sent)
@@ -120,8 +121,8 @@ class SynthApplication(Application):
                 yield from rt.inject(dst, self._h_request, (node_index,))
                 sent += 1
             # Synchronization point: wait for the whole group's replies.
-            while self._acks[node_index] < group_start_acks + group:
-                yield Compute(50)
+            target = group_start_acks + group
+            yield Poll(lambda: acks[node_index] >= target, 50)
 
     def describe(self) -> str:
         return (

@@ -177,7 +177,7 @@ class UserThreadLib:
                     continue
                 thread.state = Thread.BLOCKED
                 thread._wait_event = op
-                op.subscribe(lambda v, t=thread: self._unblock(t, v))
+                op.subscribe(self._unblock, thread)
                 return
             raise TypeError(
                 f"thread {thread.name} yielded unsupported {op!r}"

@@ -12,6 +12,10 @@ A :class:`Frame` wraps a generator coroutine. Frames yield:
 * :class:`~repro.sim.events.Event` — block until the event triggers. The
   frame stays subscribed across preemptions and context switches; the
   value is kept until the frame is next runnable on top.
+* :class:`Poll` — spin on a same-node condition in fixed compute
+  quanta. Charged exactly like the literal ``Compute`` loop, but a
+  frame alone on top parks between checks instead of scheduling one
+  engine event per quantum.
 
 The stack invariant mirrors hardware privilege: **kernel frames always
 form a contiguous segment at the top of the stack**. User frames (the
@@ -52,11 +56,64 @@ class Compute:
         return f"Compute({self.cycles})"
 
 
+class Poll:
+    """Yielded by a frame to spin until ``ready()`` is true, checking it
+    every ``interval`` cycles of processor time.
+
+    Cycle for cycle this is the literal loop
+    ``while not ready(): yield Compute(interval)``: the same wakes that
+    check ``ready()``, the same user/kernel charges, the same finish
+    cycle. Only the engine events of the checks that cannot succeed
+    are elided:
+
+    * at entry, a true ``ready()`` continues with zero cycles;
+      otherwise the first quantum is armed and charged as a
+      :class:`Compute` would be;
+    * at a real wake, a true ``ready()`` resumes the generator; a false
+      one parks the frame in :attr:`FrameState.POLL` at that quantum
+      boundary and schedules nothing;
+    * a push over a parked frame (or ``capture_user_frames``) charges
+      the cycles spun since the boundary and leaves the frame
+      mid-quantum with ``interval - elapsed % interval`` cycles to go;
+      resuming arms a real wake for them, which re-checks ``ready()``.
+
+    This is exact under a contract the caller must keep:
+
+    * ``ready()`` changes only while the polling frame is off the top
+      of its own processor — i.e. it is written by a handler frame
+      running on the same node. A check that would run while the frame
+      is on top could then never succeed, so skipping it is invisible.
+    * ``interval >= 2`` (enforced). At an elided boundary the literal
+      loop's wake runs *before* any push landing on the same cycle:
+      that wake was appended a whole interval earlier, while a push
+      arrives either through the same-cycle run queue or through a
+      timed retry scheduled at most one cycle ahead, hence appended
+      after it. So a push exactly on a boundary finds that boundary's
+      check already done, and the remainder is a full ``interval``.
+
+    Conditions that change from other nodes or from NI arrivals while
+    the poller is on top (a mailbox drain wait, ``wait_message``) do
+    not meet the contract and must stay literal ``Compute`` loops.
+    """
+
+    __slots__ = ("ready", "interval")
+
+    def __init__(self, ready: Callable[[], bool], interval: int) -> None:
+        if interval < 2:
+            raise ValueError(f"poll interval must be >= 2: {interval}")
+        self.ready = ready
+        self.interval = int(interval)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Poll({self.ready!r}, {self.interval})"
+
+
 class FrameState(enum.Enum):
     READY = "ready"            # runnable, waiting to be on top
     RUNNING = "running"        # being advanced right now
-    DELAY = "delay"            # in a Compute with a scheduled wake
+    DELAY = "delay"            # in a Compute or Poll quantum, wake armed
     DELAY_SUSPENDED = "delay_suspended"  # preempted mid-Compute
+    POLL = "poll"              # parked in a Poll between quanta, no wake
     WAITING = "waiting"        # blocked on an Event
     DONE = "done"
 
@@ -69,7 +126,7 @@ class Frame:
 
     __slots__ = (
         "gen", "name", "kernel", "state", "on_done",
-        "_delay_end", "_remaining", "_wake", "_wait_event",
+        "_delay_end", "_remaining", "_wake", "_wait_event", "_poll",
         "_ready_value", "_has_ready_value", "result", "job_gid",
     )
 
@@ -86,6 +143,9 @@ class Frame:
         self._remaining = 0
         self._wake = None
         self._wait_event: Optional[Event] = None
+        #: The Poll in progress; its wakes re-check ``ready()`` instead
+        #: of resuming the generator.
+        self._poll: Optional[Poll] = None
         self._ready_value: Any = None
         self._has_ready_value = False
         self.result: Any = None
@@ -264,27 +324,35 @@ class Processor:
                 self._finish(frame, stop.value)
                 return
             if isinstance(op, Compute):
-                if op.cycles == 0:
+                cycles = op.cycles
+                if cycles == 0:
                     value = None
                     continue
-                frame.state = FrameState.DELAY
-                frame._delay_end = engine.now + op.cycles
-                frame._wake = engine.call_at(
-                    frame._delay_end, self._delay_done, frame
-                )
-                self._charge(frame, op.cycles)
-                return
-            if isinstance(op, Event):
+            elif isinstance(op, Event):
                 if op.triggered:
                     value = op.value
                     continue
                 frame.state = FrameState.WAITING
                 frame._wait_event = op
-                op.subscribe(lambda v, f=frame: self._event_fired(f, v))
+                op.subscribe(self._event_fired, frame)
                 return
-            raise SimulationError(
-                f"frame {frame.name} yielded unsupported {op!r}"
+            elif isinstance(op, Poll):
+                if op.ready():
+                    value = None
+                    continue
+                frame._poll = op
+                cycles = op.interval
+            else:
+                raise SimulationError(
+                    f"frame {frame.name} yielded unsupported {op!r}"
+                )
+            frame.state = FrameState.DELAY
+            frame._delay_end = engine.now + cycles
+            frame._wake = engine.call_at(
+                frame._delay_end, self._delay_done, frame
             )
+            self._charge(frame, cycles)
+            return
 
     def _delay_done(self, frame: Frame) -> None:
         # The wake is cancelled on suspend, so arriving here means the
@@ -294,6 +362,14 @@ class Processor:
             raise SimulationError(
                 f"delay completed for non-top frame {frame.name}"
             )
+        poll = frame._poll
+        if poll is not None:
+            if not poll.ready():
+                # Nothing can flip ready() while this frame stays on
+                # top, so park at this boundary until a push lands.
+                frame.state = FrameState.POLL
+                return
+            frame._poll = None
         self._advance(frame, None)
 
     def _event_fired(self, frame: Frame, value: Any) -> None:
@@ -331,6 +407,17 @@ class Processor:
             frame._remaining = frame._delay_end - self.engine.now
             # Uncharge the cycles that will be re-charged on resume.
             self._charge(frame, -frame._remaining)
+            frame.state = FrameState.DELAY_SUSPENDED
+        elif frame.state is FrameState.POLL:
+            # Charge the quanta spun since the parking boundary
+            # (``_delay_end``) and leave the frame mid-quantum, as the
+            # literal loop would be. A push exactly on an elided
+            # boundary comes after that boundary's check: a full
+            # quantum remains.
+            interval = frame._poll.interval
+            elapsed = self.engine.now - frame._delay_end
+            self._charge(frame, elapsed)
+            frame._remaining = interval - elapsed % interval
             frame.state = FrameState.DELAY_SUSPENDED
         elif frame.state is FrameState.RUNNING:
             raise SimulationError(

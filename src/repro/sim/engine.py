@@ -127,7 +127,10 @@ class _ScheduledCall:
         self.engine = engine
 
     def cancel(self) -> None:
-        if not self.cancelled:
+        """Drop the callback if it has not run yet. Cancelling an entry
+        that already fired (dispatch clears its ``fn``) is a no-op, so
+        it is never counted as a pending cancellation."""
+        if not self.cancelled and self.fn is not None:
             self.cancelled = True
             if self.engine is not None:
                 self.engine._note_cancelled()
@@ -519,8 +522,8 @@ class Engine:
                             continue
                         fn = item.fn
                         arg = item.arg
+                        item.fn = None  # fired: a later cancel() is a no-op
                         if refcount(item) == 3 and len(free) < cap:
-                            item.fn = None
                             item.arg = None
                             free.append(item)
                     else:
@@ -555,8 +558,8 @@ class Engine:
                         continue
                     fn = item.fn
                     arg = item.arg
+                    item.fn = None  # fired: a later cancel() is a no-op
                     if refcount(item) == 2 and len(free) < cap:
-                        item.fn = None
                         item.arg = None
                         free.append(item)
                 else:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
+from repro.sim.engine import _NO_ARG
+
 
 class EventAlreadyTriggered(RuntimeError):
     """Raised when ``trigger`` is called twice on the same event."""
@@ -21,7 +23,8 @@ class Event:
     Events are intentionally tiny: the simulator cores below (network
     delivery, interrupt wakeups, thread joins) create millions of them in
     a long run, so the implementation avoids any indirection beyond a
-    callback list.
+    callback list. Like :meth:`Engine.schedule`, a subscription may be
+    an ``(fn, arg)`` pair, so waiters need no per-wait closure.
     """
 
     __slots__ = ("name", "triggered", "value", "_callbacks")
@@ -30,20 +33,27 @@ class Event:
         self.name = name
         self.triggered = False
         self.value: Any = None
-        self._callbacks: Optional[List[Callable[[Any], None]]] = None
+        #: Bare ``callback`` items or ``(fn, arg)`` pairs.
+        self._callbacks: Optional[List[Any]] = None
 
-    def subscribe(self, callback: Callable[[Any], None]) -> None:
-        """Register ``callback(value)`` to run when the event triggers.
+    def subscribe(self, callback: Callable[..., None],
+                  arg: Any = _NO_ARG) -> None:
+        """Register ``callback(value)`` — or ``callback(arg, value)``
+        when ``arg`` is given — to run when the event triggers.
 
         If the event has already triggered, the callback runs
         immediately — late subscribers never miss the event.
         """
         if self.triggered:
-            callback(self.value)
+            if arg is _NO_ARG:
+                callback(self.value)
+            else:
+                callback(arg, self.value)
             return
         if self._callbacks is None:
             self._callbacks = []
-        self._callbacks.append(callback)
+        self._callbacks.append(callback if arg is _NO_ARG
+                               else (callback, arg))
 
     def unsubscribe(self, callback: Callable[[Any], None]) -> None:
         """Remove a previously subscribed callback (no-op if absent)."""
@@ -64,7 +74,10 @@ class Event:
         callbacks, self._callbacks = self._callbacks, None
         if callbacks:
             for callback in callbacks:
-                callback(value)
+                if callback.__class__ is tuple:
+                    callback[0](callback[1], value)
+                else:
+                    callback(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"

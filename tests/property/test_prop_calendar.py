@@ -35,16 +35,18 @@ WINDOW = 16
 
 
 class _RefHandle:
-    __slots__ = ("fn", "arg", "cancelled", "engine")
+    __slots__ = ("fn", "arg", "cancelled", "fired", "engine")
 
     def __init__(self, fn, arg, engine):
         self.fn = fn
         self.arg = arg
         self.cancelled = False
+        self.fired = False
         self.engine = engine
 
     def cancel(self):
-        if not self.cancelled:
+        # Cancelling a handle that already fired changes nothing.
+        if not self.cancelled and not self.fired:
             self.cancelled = True
             self.engine._note_cancelled()
 
@@ -125,6 +127,7 @@ class ReferenceEngine:
                 continue
             self.now = time
             self._events += 1
+            handle.fired = True
             if handle.arg is no_arg:
                 handle.fn()
             else:
@@ -147,7 +150,8 @@ def _random_program(engine, seed, size, windowed=False):
 
     Delays are drawn from three bands: same-cycle, inside the calendar
     window, and far past it (overflow tier); handles are cancelled at
-    random, including handles for already-pulled overflow entries.
+    random, including handles for already-pulled overflow entries and
+    handles that already fired (a no-op).
 
     ``windowed`` drives the engine as a sequence of ``run(until=t)``
     windows of random length (zero included) instead of one ``run()``,
@@ -195,6 +199,7 @@ def _random_program(engine, seed, size, windowed=False):
     while engine.peek_time() is not None:
         bound += rng.randrange(WINDOW * 4)
         returned = engine.run(until=bound)
+        assert engine.pending >= 0
         windows.append((bound, returned, engine.now, engine.pending,
                         engine.events_executed))
     return order, engine.events_executed, engine.pending, windows

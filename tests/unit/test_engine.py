@@ -83,6 +83,19 @@ class TestEvents:
         event.trigger(1)
         assert seen == []
 
+    def test_pair_subscription_passes_arg_then_value(self):
+        event = Event()
+        seen = []
+
+        def record(arg, value):
+            seen.append((arg, value))
+
+        event.subscribe(record, "a")
+        event.subscribe(seen.append)
+        event.trigger(7)
+        event.subscribe(record, "late")
+        assert seen == [("a", 7), 7, ("late", 7)]
+
     def test_multiple_subscribers_all_fire(self):
         event = Event()
         seen = []
@@ -144,6 +157,30 @@ class TestHeapCompaction:
         assert engine._cancelled_pending == 1
         engine.run()
         assert engine._cancelled_pending == 0
+
+
+    def test_cancel_after_fire_is_noop(self, engine):
+        timed = engine.call_after(5, lambda: None)
+        same_cycle = engine.call_at(0, lambda: None)
+        engine.run()
+        timed.cancel()
+        same_cycle.cancel()
+        assert engine._cancelled_pending == 0
+        assert engine.pending == 0
+        assert timed.cancelled is False
+
+    def test_fired_cancels_never_trigger_compaction(self, engine):
+        # Handles kept past their firing and cancelled afterwards (a
+        # retry timer cancelled on a late ack) must not count towards
+        # the compaction threshold or drive ``pending`` negative.
+        held = [engine.call_after(1 + i % 7, lambda: None)
+                for i in range(2000)]
+        engine.run()
+        for entry in held:
+            entry.cancel()
+        engine.call_after(3, lambda: None)
+        assert engine.compactions == 0
+        assert engine.pending == 1
 
 
 class TestEntryReuse:

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.machine.processor import Compute, Frame, FrameState, Processor
+from repro.machine.processor import (
+    Compute, Frame, FrameState, Poll, Processor,
+)
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event
+from tests.conftest import ScriptedApplication, make_machine
 
 
 @pytest.fixture
@@ -258,3 +261,61 @@ class TestAccounting:
         engine.run()
         assert proc.user_cycles == 70
         assert proc.kernel_cycles == 30
+
+
+class TestPoll:
+    def test_ready_at_entry_costs_nothing(self, cpu):
+        engine, proc = cpu
+        trace = []
+
+        def gen():
+            yield Poll(lambda: True, 10)
+            trace.append(engine.now)
+
+        proc.push_frame(Frame(gen(), "p"))
+        engine.run()
+        assert trace == [0]
+        assert proc.user_cycles == 0
+
+    def test_parked_poll_schedules_nothing_until_pushed(self, cpu):
+        engine, proc = cpu
+        flag = [False]
+        trace = []
+
+        def poller():
+            yield Poll(lambda: flag[0], 10)
+            trace.append(("released", engine.now))
+
+        def handler():
+            yield Compute(4)
+            flag[0] = True
+
+        frame = Frame(poller(), "p")
+        proc.push_frame(frame)
+        engine.run(until=15)
+        # The wake at 10 found the flag clear and parked the frame.
+        assert frame.state is FrameState.POLL
+        assert engine.pending == 0
+        engine.call_at(1003, proc.raise_user_upcall,
+                       lambda: Frame(handler(), "h"))
+        engine.run()
+        # Pushed at 1003, 3 cycles into a quantum: 7 remain after the
+        # handler's 4, so the re-check runs at 1014.
+        assert trace == [("released", 1014)]
+        assert proc.user_cycles == 1014
+        # Entry kick, first wake, the raise, the upcall delivery, the
+        # handler's kick and wake, the resumed wake: none of the ~100
+        # per-quantum wakes the literal loop would schedule.
+        assert engine.events_executed == 7
+
+    def test_job_parked_in_poll_with_nothing_pending_is_a_deadlock(self):
+        def script(app, rt, node_index):
+            yield Poll(lambda: False, 40)
+
+        machine = make_machine(num_nodes=2)
+        job = machine.add_job(ScriptedApplication(script))
+        machine.start()
+        with pytest.raises(RuntimeError, match="drained but job"):
+            machine.run_until_job_done(job, limit=10_000_000)
+        assert all(node.processor.current.state is FrameState.POLL
+                   for node in machine.nodes)
