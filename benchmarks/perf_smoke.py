@@ -9,7 +9,12 @@ Times six things and writes ``BENCH_runner.json`` plus
   an argument through ``schedule``, a fixed share through cancellable
   ``call_at`` handles) — with the calendar queue's tier counters
   (bucket hits, overflow-heap inserts, per-cycle batch sizes) — and on
-  a cancellation-heavy loop (the lazy-deletion/compaction path);
+  a cancellation-heavy loop (the lazy-deletion/compaction path). The
+  throughput is also written as ``reference_events_per_second``: scaled
+  by the host's speed, timed with ``perfbench/hostspeed.py``'s probe in
+  the same process, to what a host running the probe in ``NOMINAL_S``
+  would do. That is the figure the CI ratchet compares, so it holds
+  across machines;
 * **runner sweep, serial vs parallel vs auto** — a small fixed
   multiprogrammed sweep through :func:`repro.runner.run_specs` at
   ``jobs=1``, forced ``mode="parallel"`` at ``jobs=N``, and
@@ -17,12 +22,11 @@ Times six things and writes ``BENCH_runner.json`` plus
   cost), verifying the metrics are identical across all of them;
 * **cache replay** — the same sweep again from the persistent cache,
   recording hit counts and replay time;
-* **two-case fast path** — quiescent whole-machine runs (best of 3),
-  the first with a closure-counting shim over
-  ``engine.call_at``/``engine.schedule`` (asserting *zero* per-message
-  lambda/closure allocation), the engine/fabric/NI fast-path hit
-  counters, and a bit-identity check of the run metrics against the
-  same run forced down the general path via ``REPRO_NO_FASTPATH``;
+* **closure-free machine run** (the ``fastpath`` block) — quiescent
+  whole-machine runs (best of 3), the first with a closure-counting
+  shim over ``engine.call_at``/``engine.schedule`` (asserting *zero*
+  per-message lambda/closure allocation), and a bit-identity check of
+  the run metrics across the repeats;
 * **sharded execution** — two synth workloads, each run
   single-process and through :func:`repro.shard.run_sharded` (one
   worker process per node group): a ``rack_local`` leg whose traffic
@@ -64,6 +68,10 @@ from repro.machine.machine import Machine
 from repro.runner import ResultCache, default_jobs, run_specs
 from repro.sim.engine import _NO_ARG, Engine
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from perfbench.hostspeed import NOMINAL_S, probe  # noqa: E402
+
 #: Maximum tolerated events/sec regression with observability enabled.
 OBS_OVERHEAD_LIMIT = 0.10
 
@@ -103,7 +111,7 @@ class _Ticker:
 
 def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
                         handle_every: int = 4,
-                        repeats: int = 3) -> dict:
+                        repeats: int = 3, probes: int = 20) -> dict:
     """Events/second of :meth:`Engine.run` on ``n_tickers``
     self-rescheduling callbacks, best of ``repeats``.
 
@@ -111,6 +119,11 @@ def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
     handle, the rest through handle-free ``schedule``. Also records the
     calendar queue's tier counters from the fastest run: bucket hits vs
     overflow-heap inserts, and how coarse the per-cycle batching ran.
+
+    ``probe_s`` is the fastest of ``probes`` host-speed probes, and
+    ``reference_events_per_second`` the throughput scaled by
+    ``probe_s / NOMINAL_S``: a slower host takes longer per probe and
+    runs fewer events per second, so the product stays put.
     """
 
     def one_run():
@@ -125,14 +138,18 @@ def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
 
     engine, wall = min((one_run() for _ in range(repeats)),
                        key=lambda pair: pair[1])
+    probe_s = min(probe() for _ in range(probes))
+    events_per_second = engine.events_executed / wall
     batches = engine.cycle_batches
     return {
         "repeats": repeats,
         "events": engine.events_executed,
         "wall_seconds": wall,
-        "events_per_second": engine.events_executed / wall,
+        "events_per_second": events_per_second,
+        "probe_s": probe_s,
+        "reference_events_per_second": (events_per_second * probe_s
+                                        / NOMINAL_S),
         "ring_events": engine.ring_events,
-        "runq_events": engine.runq_events,
         "overflow_scheduled": engine.overflow_scheduled,
         "cycle_batches": batches,
         "mean_batch_events": (engine.ring_events / batches
@@ -248,68 +265,42 @@ def _attach_closure_counter(engine) -> dict:
     return counts
 
 
-def _machine_run(force_general: bool = False,
-                 count_closures: bool = False):
+def _machine_run(count_closures: bool = False):
     """One quiescent multiprogrammed barrier-vs-null run, timed.
 
     Returns ``(machine, metrics, closure_counts, wall_seconds)``.
-    ``force_general`` sets ``REPRO_NO_FASTPATH`` for the machine's
-    construction, pushing every layer down the general path.
     """
-    saved = os.environ.pop("REPRO_NO_FASTPATH", None)
-    if force_general:
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-    try:
-        config = SimulationConfig(num_nodes=8, seed=1, skew_fraction=0.1,
-                                  timeslice=100_000)
-        machine = Machine(config)
-        app = make_workload("barrier", seed=1, num_nodes=8, scale="fast")
-        job = machine.add_job(app)
-        machine.add_job(NullApplication())
-        counts = None
-        if count_closures:
-            counts = _attach_closure_counter(machine.engine)
-        machine.start()
-        start = time.perf_counter()
-        machine.run_until_job_done(job, limit=50_000_000_000)
-        wall = time.perf_counter() - start
-        return machine, collect_metrics(machine, job), counts, wall
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+    config = SimulationConfig(num_nodes=8, seed=1, skew_fraction=0.1,
+                              timeslice=100_000)
+    machine = Machine(config)
+    app = make_workload("barrier", seed=1, num_nodes=8, scale="fast")
+    job = machine.add_job(app)
+    machine.add_job(NullApplication())
+    counts = None
+    if count_closures:
+        counts = _attach_closure_counter(machine.engine)
+    machine.start()
+    start = time.perf_counter()
+    machine.run_until_job_done(job, limit=50_000_000_000)
+    wall = time.perf_counter() - start
+    return machine, collect_metrics(machine, job), counts, wall
 
 
 def bench_fastpath(repeats: int = 3) -> dict:
-    """Two-case fast-path accounting + zero-closure + identity gates,
-    best of ``repeats``.
+    """Zero-closure and repeat-identity gates on a quiescent machine
+    run, best of ``repeats``.
 
-    Only the first fast run carries the closure-counting shim (the
-    shim itself costs time); the remaining repeats time the unshimmed
-    fast path, and the reported events/second is the best of all of
-    them. ``gate_ok`` requires: no lambda/closure scheduled during a
-    quiescent run, bit-identical metrics across every fast run *and*
-    the forced-general (``REPRO_NO_FASTPATH``) run, the general run
-    using the run queue not at all, and the fast run actually
-    exercising every fast path it claims to have.
+    Only the first run carries the closure-counting shim (the shim
+    itself costs time); the reported events/second is the best of all
+    of them. ``gate_ok`` requires no lambda/closure scheduled during
+    the run and bit-identical metrics across every repeat.
     """
-    fast_runs = [_machine_run(count_closures=(i == 0))
-                 for i in range(repeats)]
-    machine, metrics, counts, _wall = fast_runs[0]
-    best_wall = min(wall for _m, _met, _c, wall in fast_runs)
-    general_machine, general_metrics, _, _ = _machine_run(
-        force_general=True)
-
+    runs = [_machine_run(count_closures=(i == 0)) for i in range(repeats)]
+    machine, metrics, counts, _wall = runs[0]
+    best_wall = min(wall for _m, _met, _c, wall in runs)
     engine = machine.engine
-    fabric = machine.fabric.stats
-    ni_fast = sum(n.ni.stats.fast_deliveries for n in machine.nodes)
-    ni_general = sum(n.ni.stats.general_deliveries for n in machine.nodes)
     base = asdict(metrics)
-    identical = (
-        all(asdict(m) == base for _m, m, _c, _w in fast_runs[1:])
-        and base == asdict(general_metrics)
-    )
+    identical = all(asdict(m) == base for _m, m, _c, _w in runs[1:])
     batches = engine.cycle_batches
     return {
         "repeats": repeats,
@@ -317,26 +308,13 @@ def bench_fastpath(repeats: int = 3) -> dict:
         "events_per_second": engine.events_executed / best_wall,
         "closures_scheduled": counts["closures"],
         "callbacks_scheduled": counts["scheduled"],
-        "runq_events": engine.runq_events,
         "ring_events": engine.ring_events,
         "overflow_scheduled": engine.overflow_scheduled,
         "cycle_batches": batches,
         "mean_batch_events": (engine.ring_events / batches
                               if batches else 0.0),
-        "fabric_fast_sends": fabric.fast_path_sends,
-        "fabric_general_sends": fabric.general_path_sends,
-        "ni_fast_deliveries": ni_fast,
-        "ni_general_deliveries": ni_general,
-        "general_runq_events": general_machine.engine.runq_events,
-        "metrics_identical_vs_general": identical,
-        "gate_ok": (
-            counts["closures"] == 0
-            and identical
-            and general_machine.engine.runq_events == 0
-            and engine.runq_events > 0
-            and fabric.fast_path_sends > 0
-            and ni_fast > 0
-        ),
+        "metrics_identical": identical,
+        "gate_ok": counts["closures"] == 0 and identical,
     }
 
 
@@ -576,11 +554,13 @@ def main(argv=None) -> int:
         json.dump(obs_report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    events = report["engine_events"]["events_per_second"]
+    engine = report["engine_events"]
     sweep = report["sweep"]
     fastpath = report["fastpath"]
     shard = report["shard"]
-    print(f"engine: {events:,.0f} events/s")
+    print(f"engine: {engine['events_per_second']:,.0f} events/s "
+          f"({engine['reference_events_per_second']:,.0f} reference "
+          f"events/s at probe {engine['probe_s'] * 1e3:.3f} ms)")
     print(f"sweep ({sweep['runs']} runs): serial "
           f"{sweep['serial_wall_seconds']:.2f}s, jobs={sweep['jobs']} "
           f"{sweep['parallel_wall_seconds']:.2f}s "
@@ -592,12 +572,9 @@ def main(argv=None) -> int:
     print(f"identical: serial/parallel/auto="
           f"{sweep['serial_parallel_identical']} "
           f"cache={sweep['cache_replay_identical']}")
-    print(f"fastpath: {fastpath['runq_events']:,} runq events, "
-          f"{fastpath['fabric_fast_sends']:,} fast sends, "
-          f"{fastpath['ni_fast_deliveries']:,} fast deliveries, "
-          f"{fastpath['closures_scheduled']} closures scheduled, "
-          f"identical vs general: "
-          f"{fastpath['metrics_identical_vs_general']}")
+    print(f"fastpath: {fastpath['closures_scheduled']} closures "
+          f"scheduled, identical across {fastpath['repeats']} repeats: "
+          f"{fastpath['metrics_identical']}")
     for leg in (shard["rack_local"], shard["all_to_all"]):
         required = ("required" if leg["speedup_required"] else
                     f"skipped: {leg['speedup_skip_reason']}")

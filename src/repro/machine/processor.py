@@ -86,9 +86,9 @@ class Poll:
     * ``interval >= 2`` (enforced). At an elided boundary the literal
       loop's wake runs *before* any push landing on the same cycle:
       that wake was appended a whole interval earlier, while a push
-      arrives either through the same-cycle run queue or through a
-      timed retry scheduled at most one cycle ahead, hence appended
-      after it. So a push exactly on a boundary finds that boundary's
+      arrives either as a same-cycle schedule appended to the live
+      bucket or through a timed retry scheduled at most one cycle
+      ahead, hence appended after it. So a push exactly on a boundary finds that boundary's
       check already done, and the remainder is a full ``interval``.
 
     Conditions that change from other nodes or from NI arrivals while

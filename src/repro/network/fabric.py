@@ -65,8 +65,7 @@ class FabricStats:
     messages_dropped: int = 0
     messages_duplicated: int = 0
     latency_spikes: int = 0
-    # Two-case accounting: sends taking the quiescent fast path vs the
-    # general path (tracer/obs/injector attached, or fast path disabled).
+    # perfbench reads these two names; nothing increments them.
     fast_path_sends: int = 0
     general_path_sends: int = 0
 
@@ -98,55 +97,14 @@ class NetworkFabric:
         self._credit_waiters: Dict[int, Deque[Event]] = {}
         # Enforce per-(src, dst) FIFO even when message lengths differ.
         self._last_arrival: Dict[tuple[int, int], int] = {}
-        # Two-case fast path. The fabric is *quiescent* when no tracer,
-        # observatory or fault injector is attached: then every send
-        # takes _send_fast — validate/port/injector branches skipped and
-        # arrival scheduled handle-free with the message as the callback
-        # argument (no per-message lambda). Attaching any observer flips
-        # the machine-wide flag back to the general path (the paper's
-        # direct-to-buffered transition, applied to the simulator).
-        # Engine.fastpath carries the REPRO_NO_FASTPATH override.
-        self._tracer = None
-        self._obs = None
-        self._injector = None
-        self._fast = engine.fastpath
-
-    def _refresh_fast(self) -> None:
-        self._fast = (self.engine.fastpath and self._tracer is None
-                      and self._obs is None and self._injector is None)
-
-    @property
-    def tracer(self):
-        """Optional message tracer (set by Machine.enable_tracing)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._refresh_fast()
-
-    @property
-    def obs(self):
-        """Optional observatory (set by Machine.enable_observability);
-        same None-check hot-path contract as the tracer."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self._refresh_fast()
-
-    @property
-    def injector(self):
-        """Optional fault injector (set by Machine for faulted runs).
-        When present the fabric becomes *unreliable*: messages may be
-        dropped, duplicated, delayed or reordered per the plan."""
-        return self._injector
-
-    @injector.setter
-    def injector(self, value) -> None:
-        self._injector = value
-        self._refresh_fast()
+        #: Optional message tracer (set by Machine.enable_tracing).
+        self.tracer = None
+        #: Optional observatory (set by Machine.enable_observability).
+        self.obs = None
+        #: Optional fault injector (set by Machine for faulted runs).
+        #: When present the fabric becomes *unreliable*: messages may be
+        #: dropped, duplicated, delayed or reordered per the plan.
+        self.injector = None
 
     def attach(self, node_id: int, port: DeliveryPort) -> None:
         """Register the network interface serving ``node_id``."""
@@ -185,43 +143,7 @@ class NetworkFabric:
         Callers must hold a credit (``has_credit`` was true); launching
         into a full network is a modelling error, not an architectural
         trap, so it raises.
-
-        Quiescent fabric (no tracer, no obs, no injector): the fast
-        path skips validation, the port lookup raise, and all observer
-        branches, and schedules the arrival handle-free — identical
-        arrival times and order, strictly less work per message. The
-        FIFO-floor bookkeeping is *kept* on the fast path: dropping it
-        would change arrival times whenever a long message trails a
-        short one on the same pair.
         """
-        if self._fast:
-            dst = message.dst
-            occupancy = self._occupancy
-            occ = occupancy.get(dst)
-            if occ is None:
-                raise ValueError(f"no network interface at node {dst}")
-            if occ >= self.credits_per_destination:
-                raise RuntimeError(
-                    f"launch toward node {dst} without network credit"
-                )
-            engine = self.engine
-            now = engine.now
-            message.inject_time = now
-            occupancy[dst] += 1
-            stats = self.stats
-            stats.messages_sent += 1
-            stats.fast_path_sends += 1
-            stats.words_carried += message.length_words
-            arrival = now + self.topology.latency(
-                message.src, dst, message.length_words
-            )
-            pair = (message.src, dst)
-            floor = self._last_arrival.get(pair, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            self._last_arrival[pair] = arrival
-            engine.schedule(arrival, self._arrive_fast, message)
-            return
         message.validate()
         if message.dst not in self._ports:
             raise ValueError(f"no network interface at node {message.dst}")
@@ -233,24 +155,23 @@ class NetworkFabric:
         message.inject_time = engine.now
         self._occupancy[message.dst] += 1
         self.stats.messages_sent += 1
-        self.stats.general_path_sends += 1
         self.stats.words_carried += message.length_words
-        if self._obs is not None:
-            self._obs.h_message_words.observe(message.length_words)
-        if self._tracer is not None:
+        if self.obs is not None:
+            self.obs.h_message_words.observe(message.length_words)
+        if self.tracer is not None:
             from repro.analysis.trace import TraceEvent
 
-            self._tracer.note_message(message)
-            self._tracer.record(engine.now, TraceEvent.INJECT,
-                                message.msg_id, message.src)
+            self.tracer.note_message(message)
+            self.tracer.record(engine.now, TraceEvent.INJECT,
+                               message.msg_id, message.src)
 
         latency = self.topology.latency(
             message.src, message.dst, message.length_words
         )
-        if self._injector is None:
+        if self.injector is None:
             self._schedule_arrival(message, latency)
             return
-        decision = self._injector.on_send(message)
+        decision = self.injector.on_send(message)
         if decision.drop:
             # The doomed flits still occupy the channel until their
             # would-be arrival; only then does the credit free up.
@@ -266,22 +187,28 @@ class NetworkFabric:
                                unordered=decision.unordered,
                                jitter=decision.jitter)
 
+    def _ordered_arrival(self, message: Message, latency: int) -> int:
+        """The arrival cycle of ``message`` sent now with ``latency``,
+        raised to the per-(src, dst) FIFO floor, which it then becomes:
+        a short message never overtakes a longer one on the same pair."""
+        pair = (message.src, message.dst)
+        arrival = self.engine.now + latency
+        floor = self._last_arrival.get(pair, -1) + 1
+        if arrival < floor:
+            arrival = floor
+        self._last_arrival[pair] = arrival
+        return arrival
+
     def _schedule_arrival(self, message: Message, latency: int,
                           unordered: bool = False,
                           jitter: int = 0) -> None:
-        engine = self.engine
-        arrival = engine.now + latency
         if unordered:
             # Reordering fault: waive the FIFO floor so this message
             # may overtake (or be overtaken by) its pair neighbours.
-            arrival += jitter
+            arrival = self.engine.now + latency + jitter
         else:
-            pair = (message.src, message.dst)
-            floor = self._last_arrival.get(pair, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            self._last_arrival[pair] = arrival
-        engine.schedule(arrival, self._arrive, message)
+            arrival = self._ordered_arrival(message, latency)
+        self.engine.schedule(arrival, self._arrive, message)
 
     def _send_duplicate(self, original: Message, latency: int) -> None:
         """Inject a fabric-made copy of ``original`` (same wire bits,
@@ -296,26 +223,26 @@ class NetworkFabric:
         copy.inject_time = self.engine.now
         self._occupancy[copy.dst] += 1
         self.stats.messages_duplicated += 1
-        if self._injector is not None:
-            self._injector.note_duplicate(copy.msg_id)
-        if self._tracer is not None:
+        if self.injector is not None:
+            self.injector.note_duplicate(copy.msg_id)
+        if self.tracer is not None:
             from repro.analysis.trace import TraceEvent
 
-            self._tracer.note_message(copy)
-            self._tracer.record(self.engine.now, TraceEvent.DUPLICATE,
-                                copy.msg_id, copy.src,
-                                f"dup-of={original.msg_id}")
+            self.tracer.note_message(copy)
+            self.tracer.record(self.engine.now, TraceEvent.DUPLICATE,
+                               copy.msg_id, copy.src,
+                               f"dup-of={original.msg_id}")
         self._schedule_arrival(copy, latency + 1, unordered=True)
 
     def _dropped(self, message: Message) -> None:
         """A planned drop reached its loss point: release the slot."""
-        if self._injector is not None:
-            self._injector.note_dropped(message.msg_id)
-        if self._tracer is not None:
+        if self.injector is not None:
+            self.injector.note_dropped(message.msg_id)
+        if self.tracer is not None:
             from repro.analysis.trace import TraceEvent
 
-            self._tracer.record(self.engine.now, TraceEvent.DROP,
-                                message.msg_id, message.dst, "planned")
+            self.tracer.record(self.engine.now, TraceEvent.DROP,
+                               message.msg_id, message.dst, "planned")
         self._release_slot(message.dst)
 
     # ------------------------------------------------------------------
@@ -333,31 +260,6 @@ class NetworkFabric:
             self._note_backlog(message.dst)
             return
         self._delivered(message)
-
-    def _arrive_fast(self, message: Message) -> None:
-        """Arrival half of the fast path: tracer/obs were None at send
-        time, so the delivery bookkeeping needs no observer branches.
-        Backpressure handling is unchanged — a backlog (or a full NI
-        queue) routes the message through the same blocked queue, and
-        it is later drained via :meth:`input_space_freed` on the
-        general ``_delivered`` path.
-        """
-        dst = message.dst
-        backlog = self._blocked[dst]
-        if backlog:
-            backlog.append(message)
-            self._note_backlog(dst)
-            return
-        if not self._ports[dst].network_deliver(message):
-            backlog.append(message)
-            self._note_backlog(dst)
-            return
-        now = self.engine.now
-        message.deliver_time = now
-        stats = self.stats
-        stats.messages_delivered += 1
-        stats.total_latency += now - message.inject_time
-        self._release_slot(dst)
 
     def input_space_freed(self, node_id: int) -> None:
         """NI callback: a hardware input-queue slot opened at ``node_id``.
@@ -379,15 +281,15 @@ class NetworkFabric:
 
     def _delivered(self, message: Message) -> None:
         message.deliver_time = self.engine.now
-        if self._tracer is not None:
+        if self.tracer is not None:
             from repro.analysis.trace import TraceEvent
 
-            self._tracer.record(self.engine.now, TraceEvent.DELIVER,
-                                message.msg_id, message.dst)
+            self.tracer.record(self.engine.now, TraceEvent.DELIVER,
+                               message.msg_id, message.dst)
         self.stats.messages_delivered += 1
         self.stats.total_latency += message.deliver_time - message.inject_time
-        if self._obs is not None:
-            self._obs.h_delivery_latency.observe(
+        if self.obs is not None:
+            self.obs.h_delivery_latency.observe(
                 message.deliver_time - message.inject_time
             )
         self._release_slot(message.dst)

@@ -10,9 +10,9 @@ of them head to head (see docs/DELIVERY.md).
 
 * ``twocase`` — the paper's system and the default. The discipline is
   a pure no-op: admission is the fixed hardware-queue bound already in
-  :meth:`~repro.ni.interface.NetworkInterface.network_deliver`, and the
-  quiescent fast path stays eligible. Behaviour is byte-identical to a
-  machine built before this axis existed.
+  :meth:`~repro.ni.interface.NetworkInterface.network_deliver`.
+  Behaviour is byte-identical to a machine built before this axis
+  existed.
 * ``zerocopy`` — arriving messages for the *running* process pin their
   words directly in a per-NI receive ring mapped into user space; the
   hardware queue is the ring, so its capacity (in words) is the real
@@ -79,17 +79,13 @@ class DeliveryDiscipline:
 
     The NI consults the discipline at three points of the general
     delivery path — admission (:meth:`admit`), acceptance
-    (:meth:`on_accept`) and disposal (:meth:`on_dispose`) — and folds
-    :attr:`allows_fastpath` into its quiescent-fast-path gate. The
+    (:meth:`on_accept`) and disposal (:meth:`on_dispose`). The
     kernel binds itself in (:meth:`bind`) so a discipline can trigger
     buffered-mode transitions through the one legal funnel,
     :meth:`~repro.glaze.kernel.NodeKernel.enter_buffered_mode`.
     """
 
     name = "twocase"
-    #: May the NI's quiescent fast path engage? Only the two-case
-    #: discipline preserves its provably-no-trap reasoning.
-    allows_fastpath = True
     #: Does :meth:`admit` replace the fixed hardware-queue bound?
     shapes_admission = False
 
@@ -137,7 +133,6 @@ class ZeroCopyDiscipline(DeliveryDiscipline):
     """Pinned receive ring with protection-fault fallback."""
 
     name = "zerocopy"
-    allows_fastpath = False
     shapes_admission = True
 
     def __init__(self, config: "NiConfig", ni: "NetworkInterface") -> None:
@@ -215,7 +210,6 @@ class DamqDiscipline(DeliveryDiscipline):
     """Dynamically partitioned shared input queue (DAMQ-style)."""
 
     name = "damq"
-    allows_fastpath = False
     shapes_admission = True
 
     def __init__(self, config: "NiConfig", ni: "NetworkInterface") -> None:

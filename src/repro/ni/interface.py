@@ -74,9 +74,7 @@ class NiStats:
     max_input_queue: int = 0
     input_stalls: int = 0          # fault-injected transient stalls
     forced_timeouts: int = 0       # fault-injected timer expiries
-    # Two-case accounting: deliveries accepted on the quiescent fast
-    # path (empty queue, matching GID, no trap re-evaluation) vs the
-    # general path through the full _update machinery.
+    # perfbench reads these two names; nothing increments them.
     fast_deliveries: int = 0
     general_deliveries: int = 0
 
@@ -99,7 +97,7 @@ class NetworkInterface:
         self._input: Deque[Message] = deque()
         #: Delivery discipline governing the input structure. The default
         #: two-case discipline is a pure no-op; the alternatives shape
-        #: admission and disable the fast path (see repro.ni.delivery).
+        #: admission (see repro.ni.delivery).
         self.discipline = make_discipline(self.config, self)
 
         # Delivery hooks, wired by the kernel and the UDM runtime.
@@ -113,59 +111,15 @@ class NetworkInterface:
         self._mismatch_in_service = False
         self._upcall_in_service = False
 
-        self._obs = None
-        self._fault_injector = None
+        #: Optional observatory (set by Machine.enable_observability).
+        self.obs = None
+        #: Optional fault injector (set by the machine). While a stall
+        #: is active the interface refuses network deliveries, exactly
+        #: the full-input-queue condition the atomicity timer bounds.
+        self.fault_injector = None
         self._stalled_until = -1
 
-        # Two-case fast path. `_fast_base` holds the per-run quiescence
-        # terms (no observatory, no injector, fast path not disabled by
-        # REPRO_NO_FASTPATH); `_fast_ok` additionally folds in the
-        # mutable trap state and is recomputed at every `_update` — the
-        # single funnel through which GID, divert-mode and UAC changes
-        # flow — so `network_deliver` can trust it without re-deriving
-        # the trap conditions per message.
-        self._fast_base = (
-            engine.fastpath
-            and self.config.input_queue_capacity >= 1
-            and self.discipline.allows_fastpath
-        )
-        self._fast_ok = False
-
         fabric.attach(node_id, self)
-
-    @property
-    def obs(self):
-        """Optional observatory (set by Machine.enable_observability);
-        same None-check hot-path contract as the tracer."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self._refresh_fast_base()
-
-    @property
-    def fault_injector(self):
-        """Optional fault injector (set by the machine). While a stall
-        is active the interface refuses network deliveries, exactly
-        the full-input-queue condition the atomicity timer bounds."""
-        return self._fault_injector
-
-    @fault_injector.setter
-    def fault_injector(self, value) -> None:
-        self._fault_injector = value
-        self._refresh_fast_base()
-
-    def _refresh_fast_base(self) -> None:
-        self._fast_base = (
-            self.engine.fastpath
-            and self.config.input_queue_capacity >= 1
-            and self.discipline.allows_fastpath
-            and self._obs is None
-            and self._fault_injector is None
-        )
-        if not self._fast_base:
-            self._fast_ok = False
 
     # ------------------------------------------------------------------
     # Status flags (readable registers)
@@ -208,33 +162,7 @@ class NetworkInterface:
     # Fabric-facing side
     # ------------------------------------------------------------------
     def network_deliver(self, message: Message) -> bool:
-        """Fabric offers a message; accept if the input queue has room.
-
-        Fast case: the node is quiescent (``_fast_ok``: no injector, no
-        observatory, divert-mode clear, UAC disarmed, upcall hook
-        wired, a user GID installed), the queue is empty and the
-        message's GID matches — then the trap conditions need no
-        re-evaluation: *mismatch-available* is provably false and
-        *message-available* provably true, so the message is accepted
-        and (if the line is armed) upcalled directly. Any disturbing
-        condition falls through to the general path below.
-        """
-        if (self._fast_ok and not self._input
-                and message.gid == self.registers.current_gid):
-            self._input.append(message)
-            stats = self.stats
-            stats.fast_deliveries += 1
-            if stats.max_input_queue < 1:
-                stats.max_input_queue = 1
-            # The atomicity timer needs no update: _fast_ok implies
-            # interrupt-disable and timer-force are both clear, so the
-            # timer condition was false at the last _update and stays
-            # false — the timer is provably disarmed.
-            if not self._upcall_in_service and self.user_level_ready():
-                self._upcall_in_service = True
-                stats.message_available_upcalls += 1
-                self.deliver_message_available()
-            return True
+        """Fabric offers a message; accept if the input queue has room."""
         if self._stalled_until > self.engine.now:
             return False
         discipline = self.discipline
@@ -247,8 +175,8 @@ class NetworkInterface:
                 return False
         elif len(self._input) >= self.config.input_queue_capacity:
             return False
-        if self._fault_injector is not None:
-            cycles = self._fault_injector.ni_stall_cycles(self.node_id)
+        if self.fault_injector is not None:
+            cycles = self.fault_injector.ni_stall_cycles(self.node_id)
             if cycles > 0:
                 # Transient input stall: refuse deliveries until the
                 # stall clears, then drain whatever blocked behind it.
@@ -259,11 +187,10 @@ class NetworkInterface:
         self._input.append(message)
         if discipline.shapes_admission:
             discipline.on_accept(message)
-        self.stats.general_deliveries += 1
         if len(self._input) > self.stats.max_input_queue:
             self.stats.max_input_queue = len(self._input)
-        if self._obs is not None:
-            self._obs.h_input_queue.observe(len(self._input))
+        if self.obs is not None:
+            self.obs.h_input_queue.observe(len(self._input))
         self._update()
         return True
 
@@ -419,19 +346,6 @@ class NetworkInterface:
         self._update()
 
     def _update(self) -> None:
-        # Recompute the fast-path gate: every mutation of the GID,
-        # divert-mode, UAC bits or delivery hooks funnels through here
-        # before the event loop runs the next delivery.
-        uac = self.uac
-        registers = self.registers
-        self._fast_ok = (
-            self._fast_base
-            and not uac.interrupt_disable
-            and not uac.timer_force
-            and not registers.divert_mode
-            and registers.current_gid != KERNEL_GID
-            and self.deliver_message_available is not None
-        )
         self.timer.update(self._timer_condition())
         if self.mismatch_pending:
             if not self._mismatch_in_service and \

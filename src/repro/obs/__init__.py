@@ -80,15 +80,13 @@ class Observatory:
             "fresh pages mapped per virtual-buffer insert")
         # Counters and gauges, harvested authoritatively in finalize().
         for name in (
-            "engine.events", "engine.compactions", "engine.runq_events",
+            "engine.events", "engine.compactions",
             "engine.ring_events", "engine.overflow_scheduled",
             "engine.cycle_batches",
             "fabric.messages_sent", "fabric.messages_delivered",
             "fabric.words_carried", "fabric.sender_blocks",
             "fabric.messages_dropped", "fabric.messages_duplicated",
             "fabric.latency_spikes",
-            "fabric.fast_path_sends", "fabric.general_path_sends",
-            "ni.fast_deliveries", "ni.general_deliveries",
             "ni.delivered_to_user", "ni.delivered_to_kernel",
             "ni.upcalls", "ni.mismatch_interrupts",
             "ni.atomicity_timeouts", "ni.input_stalls",
@@ -179,12 +177,6 @@ class Observatory:
         engine = machine.engine
         total("engine.events", engine.events_executed)
         total("engine.compactions", engine.compactions)
-        # Observability itself is a fast-path disturbance (the live
-        # histograms re-engage the general paths in fabric and NI), so
-        # in observed runs the fabric/NI fast counters read 0 and only
-        # the engine run queue stays hot — the counters exist to show
-        # exactly that two-case trade-off.
-        total("engine.runq_events", engine.runq_events)
         # Calendar-queue tiers: bucket hits vs far-future overflow-heap
         # entries, and how coarse the per-cycle batching ran.
         total("engine.ring_events", engine.ring_events)
@@ -200,17 +192,11 @@ class Observatory:
         total("fabric.messages_dropped", fab.messages_dropped)
         total("fabric.messages_duplicated", fab.messages_duplicated)
         total("fabric.latency_spikes", fab.latency_spikes)
-        total("fabric.fast_path_sends", fab.fast_path_sends)
-        total("fabric.general_path_sends", fab.general_path_sends)
         gauge("fabric.max_backlog",
               max(fab.max_backlog.values()) if fab.max_backlog else 0)
         gauge("fabric.mean_latency", fab.mean_latency)
 
         nodes = machine.nodes
-        total("ni.fast_deliveries",
-              sum(n.ni.stats.fast_deliveries for n in nodes))
-        total("ni.general_deliveries",
-              sum(n.ni.stats.general_deliveries for n in nodes))
         total("ni.delivered_to_user",
               sum(n.ni.stats.delivered_to_user for n in nodes))
         total("ni.delivered_to_kernel",

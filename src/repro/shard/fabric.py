@@ -2,11 +2,12 @@
 
 Each shard process builds the *whole* machine as a replica but only
 drives its own node group; the fabric is the one component that must
-know the difference. :class:`ShardFabric` keeps the monolithic fast
+know the difference. :class:`ShardFabric` keeps the monolithic send
 path for shard-local traffic and diverts cross-shard sends into an
 **epoch outbox**: the exact arrival cycle is computed at the source
-(latency model plus the per-(src, dst) FIFO floor, which lives entirely
-source-side), the message is batched until the next window barrier, and
+(:meth:`~repro.network.fabric.NetworkFabric._ordered_arrival`: latency
+plus the per-(src, dst) FIFO floor, which lives entirely source-side),
+the message is batched until the next window barrier, and
 the owning shard injects it with :meth:`inject_remote` at the carried
 cycle — bit-identical timing to the single-engine run.
 
@@ -69,33 +70,24 @@ class ShardFabric(NetworkFabric):
         if dst in self.local_nodes:
             super().send(message)
             if self.track_identity:
-                # Both fabric paths record the scheduled arrival as the
-                # new FIFO floor, so read it back rather than recompute.
+                # The send recorded the scheduled arrival as the new
+                # FIFO floor, so read it back rather than recompute.
                 arrival = self._last_arrival[(message.src, dst)]
                 self._note_arrival(dst, arrival, self.shard_index)
                 self.occ_injects[dst].append(message.inject_time)
             return
-        # Cross-shard: replicate the monolithic fast path's send-side
-        # bookkeeping exactly — except the occupancy bump, which the
-        # owning shard performs at injection (see inject_remote). The
-        # arrival cycle, including the FIFO floor, is fully determined
-        # here because this shard launches *all* traffic on this
-        # (src, dst) pair.
-        engine = self.engine
-        now = engine.now
+        # Cross-shard: the monolithic send-side bookkeeping, except the
+        # occupancy bump, which the owning shard performs at injection
+        # (see inject_remote). The arrival cycle, including the FIFO
+        # floor, is fully determined here because this shard launches
+        # *all* traffic on this (src, dst) pair.
+        now = self.engine.now
         message.inject_time = now
         stats = self.stats
         stats.messages_sent += 1
-        stats.fast_path_sends += 1
         stats.words_carried += message.length_words
-        arrival = now + self.topology.latency(
-            message.src, dst, message.length_words
-        )
-        pair = (message.src, dst)
-        floor = self._last_arrival.get(pair, -1) + 1
-        if arrival < floor:
-            arrival = floor
-        self._last_arrival[pair] = arrival
+        arrival = self._ordered_arrival(message, self.topology.latency(
+            message.src, dst, message.length_words))
         self.cross_shard_sends += 1
         if self.track_identity:
             self.occ_injects[dst].append(now)

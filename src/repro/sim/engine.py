@@ -26,9 +26,6 @@ uncommon case needs.
   to retire.
 * :meth:`Engine.call_at` is the general case — it returns a cancellable
   handle, at the cost of one (recycled) ``_ScheduledCall`` per call.
-* Callbacks for the current cycle bypass timed storage entirely: they
-  go on a same-cycle **run queue** (a plain FIFO) drained after the
-  cycle's timed entries.
 
 Calendar queue
 --------------
@@ -47,7 +44,8 @@ Ordering is exactly the heap engine's global ``(time, seq)`` FIFO:
 
 * a bucket is only ever populated with entries for one absolute time
   (everything in the ring lies within one window of ``now``), so
-  bucket append order is schedule order;
+  bucket append order is schedule order — including same-cycle
+  schedules, which append to the live bucket while it drains;
 * overflow entries at time ``T`` can only exist while ``T >= now +
   window``, and direct ring inserts at ``T`` only happen once ``now >
   T - window`` — strictly later. The overflow tier is pulled into the
@@ -60,24 +58,17 @@ One run loop
 ------------
 
 :meth:`Engine.run` is the only dispatch loop. It drains a cycle's
-bucket, then the run queue, with attribute lookups hoisted and the
-three callback shapes told apart by exact class check. ``until`` and
-``max_events`` bound it; :meth:`Engine.stop` halts it after the current
-event in every run, so ``job.done.subscribe(engine.stop)`` exits right
-after the finishing event.
-
-Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
-time) disables the same-cycle run queue: same-cycle schedules then
-append to the live bucket instead, which the drain loop picks up in the
-same order. The property suite uses this to prove the fast paths never
-change simulation results.
+bucket — picking up same-cycle work appended while it runs — with
+attribute lookups hoisted and the three callback shapes told apart by
+exact class check. ``until`` and ``max_events`` bound it;
+:meth:`Engine.stop` halts it after the current event in every run, so
+``job.done.subscribe(engine.stop)`` exits right after the finishing
+event.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, List, Optional
 
@@ -179,8 +170,8 @@ _UNBOUNDED = float("inf")
 
 
 class Engine:
-    """The calendar queue, same-cycle run queue, overflow heap and
-    simulated clock (integer cycles)."""
+    """The calendar queue, overflow heap and simulated clock (integer
+    cycles)."""
 
     def __init__(self, window: Optional[int] = None) -> None:
         if window is None:
@@ -201,22 +192,17 @@ class Engine:
         #: ``(time, seq, entry, _ENTRY)`` (cancellable) or
         #: ``(time, seq, fn, arg)`` (handle-free) tuples.
         self._heap: List[tuple] = []
-        #: Same-cycle FIFO: items due at ``self.now``, same encodings as
-        #: a ring bucket.
-        self._runq: deque = deque()
         #: Tie-break for overflow-heap tuples only; the ring needs none.
         self._seq: int = 0
         self._events_executed: int = 0
         #: Events that ran out of a calendar bucket.
         self._ring_executed: int = 0
-        #: Events that ran off the run queue (fast-path hit counter).
-        self._runq_executed: int = 0
         #: Entries that took the overflow heap at schedule time.
         self._overflow_scheduled: int = 0
         #: Bucket drains that executed at least one event (batch count).
         self._cycle_batches: int = 0
-        #: Cancelled entries still pending in ring, heap or run queue
-        #: (lazy deletion).
+        #: Cancelled entries still pending in ring or heap (lazy
+        #: deletion).
         self._cancelled_pending: int = 0
         #: Times the pending set was swept to drop cancelled entries.
         self._compactions: int = 0
@@ -225,9 +211,6 @@ class Engine:
         #: Cooperative stop flag: set by :meth:`stop`, cleared by
         #: :meth:`run`, checked before every event.
         self._stop: bool = False
-        #: False forces same-cycle schedules into the live bucket (set
-        #: from the REPRO_NO_FASTPATH environment variable).
-        self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -237,13 +220,12 @@ class Engine:
         # Compact on the cancellation that crosses the threshold, not on
         # every schedule: keeps the check off the scheduling hot path.
         if (cancelled >= _COMPACT_MIN_CANCELLED
-                and cancelled * 2 >= (len(self._heap) + self._ring_count
-                                      + len(self._runq))):
+                and cancelled * 2 >= len(self._heap) + self._ring_count):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from heap, ring and run queue in one
-        O(n) sweep, with exact removal accounting.
+        """Drop cancelled entries from heap and ring in one O(n) sweep,
+        with exact removal accounting.
 
         The live bucket (``ring[now & mask]``) is skipped: the drain
         loop may be mid-iteration over it, and its cancelled items are
@@ -269,16 +251,6 @@ class Engine:
                 bucket[:] = kept
                 self._ring_count -= dropped
                 removed += dropped
-        runq = self._runq
-        if runq:
-            kept = [item for item in runq
-                    if item.__class__ is not _ScheduledCall
-                    or not item.cancelled]
-            dropped = len(runq) - len(kept)
-            if dropped:
-                runq.clear()
-                runq.extend(kept)
-                removed += dropped
         self._cancelled_pending -= removed
         self._compactions += 1
 
@@ -302,19 +274,13 @@ class Engine:
             entry.cancelled = False
         else:
             entry = _ScheduledCall(time, fn, arg, self)
-        if now < time:
-            if time - now < self._window:
-                self._ring[time & self._mask].append(entry)
-                self._ring_count += 1
-            else:
-                self._seq += 1
-                heapq.heappush(self._heap, (time, self._seq, entry, _ENTRY))
-                self._overflow_scheduled += 1
-        elif self.fastpath:
-            self._runq.append(entry)
-        else:
+        if time - now < self._window:
             self._ring[time & self._mask].append(entry)
             self._ring_count += 1
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (time, self._seq, entry, _ENTRY))
+            self._overflow_scheduled += 1
         return entry
 
     def call_after(self, delay: int, fn: Callable[..., None],
@@ -329,26 +295,18 @@ class Engine:
         now = self.now
         if type(time) is not int:
             time = int(time)
-        if now < time:
-            if time - now < self._window:
-                self._ring[time & self._mask].append(
-                    fn if arg is _NO_ARG else (fn, arg))
-                self._ring_count += 1
-            else:
-                self._seq += 1
-                heapq.heappush(self._heap, (time, self._seq, fn, arg))
-                self._overflow_scheduled += 1
-        elif time == now:
-            if self.fastpath:
-                self._runq.append(fn if arg is _NO_ARG else (fn, arg))
-            else:
-                self._ring[time & self._mask].append(
-                    fn if arg is _NO_ARG else (fn, arg))
-                self._ring_count += 1
-        else:
+        if time < now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {now}"
             )
+        if time - now < self._window:
+            self._ring[time & self._mask].append(
+                fn if arg is _NO_ARG else (fn, arg))
+            self._ring_count += 1
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (time, self._seq, fn, arg))
+            self._overflow_scheduled += 1
 
     def call_soon(self, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn`` this cycle, after already-pending same-cycle
@@ -416,10 +374,10 @@ class Engine:
             return item[0]
         return None
 
-    def _next_timed_time(self) -> Optional[int]:
-        """Earliest live ring or overflow entry time, cleaning cancelled
-        entries off bucket fronts; ``None`` when nothing timed remains.
-        Does not advance the clock."""
+    def peek_time(self) -> Optional[int]:
+        """Earliest pending event time, or None when nothing is pending.
+        Cleans cancelled entries off bucket fronts; does not advance the
+        clock."""
         if self._ring_count:
             ring = self._ring
             mask = self._mask
@@ -440,18 +398,6 @@ class Engine:
                     break
                 t += 1
         return self._next_live_heap_time()
-
-    def peek_time(self) -> Optional[int]:
-        """Earliest pending event time, or None when nothing is pending."""
-        runq = self._runq
-        while runq:
-            item = runq[0]
-            if item.__class__ is not _ScheduledCall or not item.cancelled:
-                return self.now
-            runq.popleft()
-            self._cancelled_pending -= 1
-            self._retire(item)
-        return self._next_timed_time()
 
     def _clamp_to(self, until: int) -> None:
         """Advance the clock to ``until`` without running anything,
@@ -487,7 +433,6 @@ class Engine:
             return now
         ring = self._ring
         mask = self._mask
-        runq = self._runq
         heap = self._heap
         free = self._free
         refcount = getrefcount
@@ -541,37 +486,6 @@ class Engine:
                 self._ring_count -= i
                 if batch:
                     self._cycle_batches += 1
-            while runq:
-                if executed >= budget or self._stop:
-                    break
-                item = runq.popleft()
-                cls = item.__class__
-                if cls is tuple_cls:
-                    fn, arg = item
-                elif cls is entry_cls:
-                    if item.cancelled:
-                        self._cancelled_pending -= 1
-                        if refcount(item) == 2 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
-                        continue
-                    fn = item.fn
-                    arg = item.arg
-                    item.fn = None  # fired: a later cancel() is a no-op
-                    if refcount(item) == 2 and len(free) < cap:
-                        item.arg = None
-                        free.append(item)
-                else:
-                    fn = item
-                    arg = no_arg
-                executed += 1
-                self._events_executed += 1
-                self._runq_executed += 1
-                if arg is no_arg:
-                    fn()
-                else:
-                    fn(arg)
             if self._stop:
                 return now
             if executed >= budget:
@@ -621,11 +535,9 @@ class Engine:
         """Events that ran out of a calendar bucket (bucket hits)."""
         return self._ring_executed
 
-    @property
-    def runq_events(self) -> int:
-        """Events that bypassed timed storage via the same-cycle run
-        queue."""
-        return self._runq_executed
+    #: perfbench reads this name; nothing increments it (every event
+    #: runs out of a calendar bucket).
+    runq_events = 0
 
     @property
     def overflow_scheduled(self) -> int:
@@ -645,11 +557,10 @@ class Engine:
     @property
     def pending(self) -> int:
         """Live (non-cancelled) entries still scheduled."""
-        return (len(self._heap) + self._ring_count + len(self._runq)
-                - self._cancelled_pending)
+        return len(self._heap) + self._ring_count - self._cancelled_pending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Engine t={self.now} "
-            f"pending={len(self._heap) + self._ring_count + len(self._runq)}>"
+            f"pending={len(self._heap) + self._ring_count}>"
         )

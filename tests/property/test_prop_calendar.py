@@ -3,8 +3,9 @@
 The reference engine below *is* the ordering spec: one binary heap of
 ``(time, seq)`` tuples with ``seq`` incremented on every schedule, so
 execution order is exactly global ``(time, seq)`` FIFO. The calendar
-engine's two timed tiers (bucket ring + overflow heap) and same-cycle
-run queue must reproduce that order bit-identically — including
+engine's two timed tiers (bucket ring + overflow heap), with same-cycle
+schedules appended to the live bucket, must reproduce that order
+bit-identically — including
 far-future entries that cross the overflow boundary, entries that
 migrate from the overflow heap into the ring as the window slides,
 and lazy-deleted cancellations — with identical ``events_executed``
@@ -16,13 +17,10 @@ callbacks — the way shard workers and ``run_until_job_done`` drive the
 engine in real simulations.
 """
 
-import contextlib
 import heapq
-import os
 import random
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,24 +203,6 @@ def _random_program(engine, seed, size, windowed=False):
     return order, engine.events_executed, engine.pending, windows
 
 
-@contextlib.contextmanager
-def _fastpath_disabled():
-    """Set ``REPRO_NO_FASTPATH`` for engines built inside the block.
-
-    Inline env handling: hypothesis reuses one fixture instance across
-    examples, so monkeypatch is off-limits here.
-    """
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    os.environ["REPRO_NO_FASTPATH"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
-
-
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_calendar_matches_reference_heap_order(seed):
@@ -233,26 +213,11 @@ def test_calendar_matches_reference_heap_order(seed):
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_general_mode_matches_reference_heap_order(seed):
-    with _fastpath_disabled():
-        calendar = _random_program(Engine(window=WINDOW), seed, 400)
-    reference = _random_program(ReferenceEngine(), seed, 400)
-    assert calendar == reference
-
-
-@pytest.mark.parametrize("mode", ["fast", "general"])
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_windowed_runs_with_stop_match_reference(mode, seed):
+def test_windowed_runs_with_stop_match_reference(seed):
     """``run(until=t)`` windows and in-callback ``stop()`` keep the
-    reference order, event count and ``pending`` after every window,
-    with and without the same-cycle run queue."""
-    env = _fastpath_disabled() if mode == "general" \
-        else contextlib.nullcontext()
-    with env:
-        engine = Engine(window=WINDOW)
-    assert engine.fastpath is (mode == "fast")
-    calendar = _random_program(engine, seed, 400, windowed=True)
+    reference order, event count and ``pending`` after every window."""
+    calendar = _random_program(Engine(window=WINDOW), seed, 400,
+                               windowed=True)
     reference = _random_program(ReferenceEngine(), seed, 400,
                                 windowed=True)
     assert calendar == reference

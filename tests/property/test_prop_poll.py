@@ -6,18 +6,13 @@ with the reference loop ``while not ready(): yield Compute(interval)``.
 The schedule mixes user upcalls and kernel interrupts (some flipping
 ``ready`` from their handler frame), gang context switches
 (``capture_user_frames`` / ``install_user_frames``) and pushes aimed
-exactly at a poll-quantum boundary — delivered through the same-cycle
-run queue (``raise_user_upcall`` / ``raise_kernel``) or by a direct
-push retried with ``call_after(1)`` while the kernel runs, the shape of
-the buffered-mode drain thread's push. Both simulations must finish the
+exactly at a poll-quantum boundary — delivered as same-cycle schedules
+(``raise_user_upcall`` / ``raise_kernel``) or by a direct push retried
+with ``call_after(1)`` while the kernel runs, the shape of the
+buffered-mode drain thread's push. Both simulations must finish the
 poller on the same cycle, charge the same user and kernel cycles and
 interleave every handler identically.
-
-Run with ``REPRO_NO_FASTPATH=1`` in CI as well; each test also drives
-both engine modes itself.
 """
-
-import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +22,6 @@ from repro.machine.processor import (
     Compute, Frame, FrameState, Poll, Processor,
 )
 from repro.sim.engine import Engine
-from tests.property.test_prop_calendar import _fastpath_disabled
 
 
 def _next_boundary(frame, interval, now, skip):
@@ -46,11 +40,8 @@ def _next_boundary(frame, interval, now, skip):
     return end + skip * interval
 
 
-def simulate(use_poll, interval, work, actions, mode):
-    env = _fastpath_disabled() if mode == "general" \
-        else contextlib.nullcontext()
-    with env:
-        engine = Engine()
+def simulate(use_poll, interval, work, actions):
+    engine = Engine()
     cpu = Processor(engine, 0)
     trace = []
     flag = [0]
@@ -189,7 +180,6 @@ _actions = st.lists(
 )
 
 
-@pytest.mark.parametrize("mode", ["fast", "general"])
 @given(
     interval=st.integers(min_value=2, max_value=13),
     work=st.lists(st.integers(min_value=0, max_value=120),
@@ -197,9 +187,9 @@ _actions = st.lists(
     actions=_actions,
 )
 @settings(max_examples=150, deadline=None)
-def test_poll_matches_literal_compute_loop(mode, interval, work, actions):
-    elided = simulate(True, interval, work, actions, mode)
-    literal = simulate(False, interval, work, actions, mode)
+def test_poll_matches_literal_compute_loop(interval, work, actions):
+    elided = simulate(True, interval, work, actions)
+    literal = simulate(False, interval, work, actions)
     assert elided == literal
 
 

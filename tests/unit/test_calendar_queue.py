@@ -160,16 +160,14 @@ class TestCancellationPerTier:
 class TestCountersAndStop:
     def test_tier_counters_partition_events(self):
         engine = Engine(window=16)
-        engine.call_soon(lambda: None)           # runq
+        engine.call_soon(lambda: None)           # live bucket
         engine.call_after(3, lambda: None)       # ring
         engine.call_after(1000, lambda: None)    # overflow -> ring
         engine.run()
         assert engine.events_executed == 3
-        assert engine.runq_events == 1
-        assert engine.ring_events == 2
         assert engine.overflow_scheduled == 1
-        assert engine.ring_events + engine.runq_events == \
-            engine.events_executed
+        # Every event, same-cycle ones included, runs out of a bucket.
+        assert engine.ring_events == engine.events_executed
 
     def test_cycle_batches_count_bucket_drains(self):
         engine = Engine()
@@ -225,9 +223,8 @@ class TestCountersAndStop:
 
         engine.call_soon(start)
         engine.run()
-        # first step (runq) + one timed resume (ring bucket).
-        assert engine.runq_events == 1
-        assert engine.ring_events == 1
+        # first step (live bucket) + one timed resume.
+        assert engine.ring_events == 2
 
 
 class TestCustomWindow:

@@ -111,7 +111,7 @@ def test_make_discipline_dispatch():
 
 def test_twocase_is_pure_noop():
     disc = make_discipline(NiConfig(), _StubNi())
-    assert disc.allows_fastpath and not disc.shapes_admission
+    assert not disc.shapes_admission
     assert disc.kernel_drain_cost(None) == 0
     # The base hooks do nothing — the default path never consults them.
     disc.on_accept(_msg())

@@ -1,29 +1,29 @@
-"""Unit tests for the two-case simulation fast paths.
+"""Unit tests for the contracts the fabric send and NI delivery keep.
 
-Covers the quiescence gates added across the stack:
+The fabric and NI each have one send/delivery path; the class and test
+names date from when each also had a quiescent shortcut, and every
+behaviour they pinned on that shortcut is still pinned here:
 
-* fabric — the quiescent send/arrive path engages only with no tracer,
-  no observatory and no fault injector attached, and attaching any of
-  them (or setting ``REPRO_NO_FASTPATH``) flips every message onto the
-  general path;
-* NI — direct extract/dispatch happens only for a matching GID on an
-  empty queue with the UAC disarmed, and each disturbing condition
-  (divert mode, interrupt-disable, kernel GID, mismatching GID, queued
-  backlog) routes through the general path;
-* runner — the two-case dispatch ladder in ``run_specs`` picks serial
-  versus process fan-out for the documented reasons.
+* fabric — sends deliver; an attached tracer sees the message and an
+  attached fault injector decides its fate, and detaching either is
+  immediate; a short message never overtakes a longer one on the same
+  (src, dst) pair; a send to an unknown port or without a network
+  credit raises;
+* NI — a matching message raises one user upcall; a GID mismatch, a
+  kernel-GID message and divert mode raise the kernel's mismatch
+  interrupt instead; interrupt-disable (until ``endatom``), a missing
+  upcall hook or an upcall already in service hold the upcall back;
+  timer-force arms the atomicity timer without holding it back.
 """
 
 import pytest
 
-from repro.analysis.trace import MessageTracer
+from repro.analysis.trace import MessageTracer, TraceEvent
 from repro.network.fabric import NetworkFabric
 from repro.network.message import KERNEL_GID, Message
 from repro.network.topology import MeshTopology
 from repro.ni.interface import NetworkInterface, NiConfig
 from repro.ni.uac import INTERRUPT_DISABLE, TIMER_FORCE
-from repro.runner.executor import run_specs
-from repro.runner.spec import RunSpec
 from repro.sim.engine import Engine
 
 
@@ -56,31 +56,38 @@ def build_fabric(num_nodes=2):
 class TestFabricFastPath:
     def test_quiescent_send_takes_fast_path(self):
         engine, fabric, ports = build_fabric()
-        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
+        message = Message(dst=1, handler="h", src=0, gid=1)
+        fabric.send(message)
         engine.run()
-        assert len(ports[1].queue) == 1
-        assert fabric.stats.fast_path_sends == 1
-        assert fabric.stats.general_path_sends == 0
+        assert ports[1].queue == [message]
+        assert fabric.stats.messages_sent == 1
         assert fabric.stats.messages_delivered == 1
+        assert message.deliver_time > message.inject_time
 
     def test_tracer_is_a_disturbance(self):
         engine, fabric, ports = build_fabric()
-        fabric.tracer = MessageTracer()
-        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
+        tracer = fabric.tracer = MessageTracer()
+        traced = Message(dst=1, handler="h", src=0, gid=1)
+        fabric.send(traced)
         engine.run()
-        assert fabric.stats.fast_path_sends == 0
-        assert fabric.stats.general_path_sends == 1
-        # Detaching restores quiescence for subsequent messages.
+        events = [r.event for r in tracer.trace_of(traced.msg_id).records]
+        assert events == [TraceEvent.INJECT, TraceEvent.DELIVER]
+        # Detaching takes effect for the next message.
         fabric.tracer = None
-        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
+        untraced = Message(dst=1, handler="h", src=0, gid=1)
+        fabric.send(untraced)
         engine.run()
-        assert fabric.stats.fast_path_sends == 1
+        assert tracer.trace_of(untraced.msg_id) is None
+        assert fabric.stats.messages_delivered == 2
 
     def test_injector_is_a_disturbance(self):
         engine, fabric, ports = build_fabric()
+        consulted = []
 
         class NullInjector:
             def on_send(self, message):
+                consulted.append(message.msg_id)
+
                 class Decision:
                     drop = False
                     extra_latency = 0
@@ -90,20 +97,16 @@ class TestFabricFastPath:
                 return Decision()
 
         fabric.injector = NullInjector()
+        message = Message(dst=1, handler="h", src=0, gid=1)
+        fabric.send(message)
+        engine.run()
+        assert consulted == [message.msg_id]
+        assert ports[1].queue == [message]
+        fabric.injector = None
         fabric.send(Message(dst=1, handler="h", src=0, gid=1))
         engine.run()
-        assert fabric.stats.fast_path_sends == 0
-        assert fabric.stats.general_path_sends == 1
-        assert len(ports[1].queue) == 1
-
-    def test_env_flag_forces_general_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        engine, fabric, ports = build_fabric()
-        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
-        engine.run()
-        assert fabric.stats.fast_path_sends == 0
-        assert fabric.stats.general_path_sends == 1
-        assert len(ports[1].queue) == 1
+        assert len(consulted) == 1
+        assert len(ports[1].queue) == 2
 
     def test_fast_path_keeps_send_contracts(self):
         engine, fabric, ports = build_fabric()
@@ -121,7 +124,7 @@ class TestFabricFastPath:
         fabric.send(Message(dst=1, handler="small", src=0, gid=1))
         engine.run()
         assert [m.handler for m in ports[1].queue] == ["big", "small"]
-        assert fabric.stats.fast_path_sends == 2
+        assert fabric.stats.messages_delivered == 2
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +141,9 @@ def build_ni(**ni_kwargs):
 
 
 def arm(ni, gid=1):
-    """Wire the upcall hook and install a user GID (runs ``_update``)."""
-    ni.upcalls = []
-    ni.deliver_message_available = lambda: ni.upcalls.append(1)
+    """Wire both interrupt hooks and install ``gid`` (runs ``_update``)."""
+    ni.deliver_message_available = lambda: None
+    ni.deliver_mismatch_available = lambda: None
     ni.set_current_gid(gid)
 
 
@@ -149,59 +152,60 @@ def deliver(engine, fabric, ni, gid=1):
     engine.run()
 
 
+def assert_kernel_interrupt(fabric, ni):
+    assert fabric.stats.messages_delivered == 1
+    assert ni.stats.mismatch_interrupts == 1
+    assert ni.stats.message_available_upcalls == 0
+    assert ni.mismatch_pending
+
+
 class TestNiFastPath:
     def test_quiescent_matching_delivery_is_fast(self):
         engine, fabric, nis = build_ni()
         arm(nis[1])
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 1
-        assert nis[1].stats.general_deliveries == 0
+        assert nis[1].stats.message_available_upcalls == 1
+        assert nis[1].stats.mismatch_interrupts == 0
         assert nis[1].message_available
-        assert nis[1].upcalls == [1]
         assert nis[1].stats.max_input_queue == 1
 
     def test_gid_mismatch_routes_general(self):
         engine, fabric, nis = build_ni()
         arm(nis[1], gid=1)
         deliver(engine, fabric, nis[1], gid=2)
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
-        assert nis[1].mismatch_pending
+        assert_kernel_interrupt(fabric, nis[1])
 
     def test_kernel_gid_routes_general(self):
         engine, fabric, nis = build_ni()
-        nis[1].deliver_message_available = lambda: None
-        nis[1].set_current_gid(KERNEL_GID)
+        arm(nis[1], gid=KERNEL_GID)
         deliver(engine, fabric, nis[1], gid=KERNEL_GID)
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
+        assert_kernel_interrupt(fabric, nis[1])
 
     def test_divert_mode_routes_general(self):
         engine, fabric, nis = build_ni()
         arm(nis[1])
         nis[1].set_divert_mode(True)
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
-        assert nis[1].mismatch_pending  # divert steals matching messages
+        # Divert mode steals even a matching message for the kernel.
+        assert_kernel_interrupt(fabric, nis[1])
 
     def test_interrupt_disable_routes_general(self):
         engine, fabric, nis = build_ni()
         arm(nis[1])
         nis[1].beginatom(INTERRUPT_DISABLE)
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
-        assert nis[1].upcalls == []  # upcall correctly suppressed
-        assert nis[1].message_available
+        assert nis[1].stats.message_available_upcalls == 0
+        assert nis[1].message_available  # still readable by polling
+        # Interrupt-disable with a message pending runs the timer.
+        assert nis[1].stats.atomicity_timeouts == 1
 
     def test_timer_force_routes_general(self):
         engine, fabric, nis = build_ni()
         arm(nis[1])
         nis[1].beginatom(TIMER_FORCE)
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
+        assert nis[1].stats.message_available_upcalls == 1
+        assert nis[1].stats.atomicity_timeouts == 1
 
     def test_endatom_restores_fast_path(self):
         engine, fabric, nis = build_ni()
@@ -209,123 +213,22 @@ class TestNiFastPath:
         nis[1].beginatom(INTERRUPT_DISABLE)
         nis[1].endatom(INTERRUPT_DISABLE)
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 1
+        assert nis[1].stats.message_available_upcalls == 1
+        assert nis[1].stats.atomicity_timeouts == 0
 
     def test_queued_backlog_routes_general(self):
         engine, fabric, nis = build_ni()
         arm(nis[1])
-        deliver(engine, fabric, nis[1])   # fast: queue was empty
-        deliver(engine, fabric, nis[1])   # general: head not yet disposed
-        assert nis[1].stats.fast_deliveries == 1
-        assert nis[1].stats.general_deliveries == 1
+        deliver(engine, fabric, nis[1])
+        deliver(engine, fabric, nis[1])   # head not yet disposed
+        # The upcall for the head is still in service: no second one.
+        assert nis[1].stats.message_available_upcalls == 1
         assert nis[1].input_queue_length == 2
+        assert fabric.stats.messages_delivered == 2
 
     def test_missing_upcall_hook_routes_general(self):
         engine, fabric, nis = build_ni()
         nis[1].set_current_gid(1)  # no deliver_message_available wired
         deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
-
-    def test_env_flag_forces_general(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        engine, fabric, nis = build_ni()
-        arm(nis[1])
-        deliver(engine, fabric, nis[1])
-        assert nis[1].stats.fast_deliveries == 0
-        assert nis[1].stats.general_deliveries == 1
-        assert nis[1].upcalls == [1]  # same observable behaviour
-
-
-# ----------------------------------------------------------------------
-# Runner dispatch ladder
-# ----------------------------------------------------------------------
-def fake_specs(n):
-    return [RunSpec.make("fake", index=i) for i in range(n)]
-
-
-@pytest.fixture
-def fake_executor(monkeypatch):
-    """Replace the worker body so no real simulation runs.
-
-    The patch is applied to the executor module itself, so forked pool
-    workers inherit it and parallel decisions can execute for real.
-    """
-    import repro.runner.executor as executor
-
-    def fake_payload(spec):
-        return {"metrics": ("ran", spec["index"]), "extra": {}}
-
-    monkeypatch.setattr(executor, "_execute_payload", fake_payload)
-    return executor
-
-
-class TestRunnerDispatch:
-    def test_invalid_mode_rejected(self, fake_executor):
-        with pytest.raises(ValueError):
-            run_specs(fake_specs(1), mode="turbo")
-
-    def test_effective_one_job_goes_serial(self, fake_executor):
-        info = {}
-        run_specs(fake_specs(8), jobs=1, info=info)
-        assert info["mode"] == "serial"
-        assert info["mode_reason"] == "effective jobs == 1"
-        assert info["workers"] == 0
-
-    def test_jobs_capped_by_cpu_count(self, fake_executor, monkeypatch):
-        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 1)
-        info = {}
-        run_specs(fake_specs(8), jobs=16, info=info)
-        assert info["mode"] == "serial"
-        assert info["effective_jobs"] == 1
-
-    def test_few_misses_go_serial(self, fake_executor, monkeypatch):
-        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 4)
-        info = {}
-        run_specs(fake_specs(7), jobs=4, info=info)  # 7 < 2 * 4
-        assert info["mode"] == "serial"
-        assert "misses (7) < 2x effective jobs (4)" == info["mode_reason"]
-
-    def test_forced_serial(self, fake_executor, monkeypatch):
-        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 4)
-        info = {}
-        run_specs(fake_specs(16), jobs=4, mode="serial", info=info)
-        assert info["mode"] == "serial"
-        assert info["mode_reason"] == "forced serial"
-
-    def test_forced_parallel_degrades_on_single_miss(self, fake_executor):
-        info = {}
-        run_specs(fake_specs(1), jobs=4, mode="parallel", info=info)
-        assert info["mode"] == "serial"
-        assert info["mode_reason"] == "single miss"
-
-    def test_auto_goes_parallel_when_misses_amortize(self, fake_executor,
-                                                     monkeypatch):
-        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 2)
-        info = {}
-        results = run_specs(fake_specs(6), jobs=2, info=info)
-        assert info["mode"] == "parallel"
-        assert info["mode_reason"] == "misses amortize dispatch"
-        assert info["workers"] == 2
-        assert info["dispatch_seconds"] >= 0.0
-        # Interleaved chunks still come back in spec order.
-        assert [r.metrics for r in results] == [("ran", i) for i in range(6)]
-
-    def test_info_counts_hits_and_misses(self, fake_executor):
-        class OneShotCache:
-            def __init__(self):
-                self.stored = {}
-
-            def get(self, spec):
-                return (("cached", spec["index"]), {}) \
-                    if spec["index"] == 0 else None
-
-            def put(self, spec, metrics, extra):
-                self.stored[spec["index"]] = metrics
-
-        info = {}
-        results = run_specs(fake_specs(3), jobs=1, cache=OneShotCache(),
-                            info=info)
-        assert info["cache_hits"] == 1
-        assert info["misses"] == 2
-        assert results[0].cached and not results[1].cached
+        assert nis[1].stats.message_available_upcalls == 0
+        assert nis[1].message_available

@@ -1,4 +1,5 @@
-"""Unit tests for the parallel runner: specs, hashing, cache."""
+"""Unit tests for the parallel runner: specs, hashing, cache and the
+dispatch ladder that picks serial versus process fan-out."""
 
 import pytest
 
@@ -241,3 +242,97 @@ class TestErrorCapture:
                            scale="fast")
         run_specs([bad], jobs=1, cache=cache)
         assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# Runner dispatch ladder
+# ----------------------------------------------------------------------
+def fake_specs(n):
+    return [RunSpec.make("fake", index=i) for i in range(n)]
+
+
+@pytest.fixture
+def fake_executor(monkeypatch):
+    """Replace the worker body so no real simulation runs.
+
+    The patch is applied to the executor module itself, so forked pool
+    workers inherit it and parallel decisions can execute for real.
+    """
+    import repro.runner.executor as executor
+
+    def fake_payload(spec):
+        return {"metrics": ("ran", spec["index"]), "extra": {}}
+
+    monkeypatch.setattr(executor, "_execute_payload", fake_payload)
+    return executor
+
+
+class TestRunnerDispatch:
+    def test_invalid_mode_rejected(self, fake_executor):
+        with pytest.raises(ValueError):
+            run_specs(fake_specs(1), mode="turbo")
+
+    def test_effective_one_job_goes_serial(self, fake_executor):
+        info = {}
+        run_specs(fake_specs(8), jobs=1, info=info)
+        assert info["mode"] == "serial"
+        assert info["mode_reason"] == "effective jobs == 1"
+        assert info["workers"] == 0
+
+    def test_jobs_capped_by_cpu_count(self, fake_executor, monkeypatch):
+        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 1)
+        info = {}
+        run_specs(fake_specs(8), jobs=16, info=info)
+        assert info["mode"] == "serial"
+        assert info["effective_jobs"] == 1
+
+    def test_few_misses_go_serial(self, fake_executor, monkeypatch):
+        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 4)
+        info = {}
+        run_specs(fake_specs(7), jobs=4, info=info)  # 7 < 2 * 4
+        assert info["mode"] == "serial"
+        assert "misses (7) < 2x effective jobs (4)" == info["mode_reason"]
+
+    def test_forced_serial(self, fake_executor, monkeypatch):
+        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 4)
+        info = {}
+        run_specs(fake_specs(16), jobs=4, mode="serial", info=info)
+        assert info["mode"] == "serial"
+        assert info["mode_reason"] == "forced serial"
+
+    def test_forced_parallel_degrades_on_single_miss(self, fake_executor):
+        info = {}
+        run_specs(fake_specs(1), jobs=4, mode="parallel", info=info)
+        assert info["mode"] == "serial"
+        assert info["mode_reason"] == "single miss"
+
+    def test_auto_goes_parallel_when_misses_amortize(self, fake_executor,
+                                                     monkeypatch):
+        monkeypatch.setattr(fake_executor.os, "cpu_count", lambda: 2)
+        info = {}
+        results = run_specs(fake_specs(6), jobs=2, info=info)
+        assert info["mode"] == "parallel"
+        assert info["mode_reason"] == "misses amortize dispatch"
+        assert info["workers"] == 2
+        assert info["dispatch_seconds"] >= 0.0
+        # Interleaved chunks still come back in spec order.
+        assert [r.metrics for r in results] == [("ran", i) for i in range(6)]
+
+    def test_info_counts_hits_and_misses(self, fake_executor):
+        class OneShotCache:
+            def __init__(self):
+                self.stored = {}
+
+            def get(self, spec):
+                return (("cached", spec["index"]), {}) \
+                    if spec["index"] == 0 else None
+
+            def put(self, spec, metrics, extra):
+                self.stored[spec["index"]] = metrics
+
+        info = {}
+        results = run_specs(fake_specs(3), jobs=1, cache=OneShotCache(),
+                            info=info)
+        assert info["cache_hits"] == 1
+        assert info["misses"] == 2
+        assert results[0].cached and not results[1].cached

@@ -1,28 +1,18 @@
-"""Unit tests for the same-cycle run queue and its ordering contract.
+"""Unit tests for same-cycle scheduling and its ordering contract.
 
 The invariant under test: while the clock reads ``T``, every new
-same-cycle schedule joins the run queue, and every timed (calendar
-bucket or overflow heap) entry at ``T`` was necessarily scheduled while
-``now < T`` — so draining the ``T`` bucket first and the run queue
-second reproduces the exact global ``(time, seq)`` order of a plain
-heap engine. ``REPRO_NO_FASTPATH`` forces the general behaviour
-(same-cycle schedules append to the live bucket instead); several
-tests run both engines over the same program and compare execution
-traces verbatim.
+same-cycle schedule (``call_soon``, or ``schedule``/``call_at`` at
+``now``) appends to the live ``T`` bucket, behind every timed entry at
+``T`` — which was necessarily scheduled while ``now < T``, or pulled
+off the overflow heap at the clock advance. Draining the bucket in
+append order therefore reproduces the exact global ``(time, seq)``
+order of a plain heap engine. "Run queue" below names this same-cycle
+work, not a separate structure.
 """
-
-import random
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-
-
-@pytest.fixture
-def general_engine(monkeypatch):
-    """An engine with the run-queue fast path disabled via the env flag."""
-    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    return Engine()
 
 
 class TestRunQueueBasics:
@@ -32,7 +22,7 @@ class TestRunQueueBasics:
         engine.call_soon(lambda: ran.append(engine.now))
         engine.run()
         assert ran == [0]
-        assert engine.runq_events == 1
+        assert engine.events_executed == 1
 
     def test_call_soon_arg_passing(self):
         engine = Engine()
@@ -43,11 +33,13 @@ class TestRunQueueBasics:
 
     def test_call_at_now_joins_run_queue(self):
         engine = Engine()
-        engine.call_at(0, lambda: None)
-        assert len(engine._heap) == 0
+        ran = []
+        engine.call_at(0, lambda: ran.append(engine.now))
         assert engine.pending == 1
+        assert engine.overflow_scheduled == 0
         engine.run()
-        assert engine.runq_events == 1
+        assert ran == [0]
+        assert engine.pending == 0
 
     def test_run_queue_is_fifo(self):
         engine = Engine()
@@ -89,7 +81,7 @@ class TestHeapVsRunQueueOrdering:
 
         def at_t_first():
             order.append("heap-1")
-            # now == 5: these join the run queue...
+            # now == 5: these append to the live bucket...
             engine.call_soon(lambda: order.append("runq-1"))
             engine.call_at(5, lambda: order.append("runq-2"))
 
@@ -100,75 +92,25 @@ class TestHeapVsRunQueueOrdering:
         engine.run()
         assert order == ["heap-1", "heap-2", "runq-1", "runq-2"]
 
-    def test_trace_identical_to_general_engine(self, monkeypatch):
-        """A mixed seeded program executes in the same order on the
-        fast (run-queue) engine and the forced-general engine."""
-
-        def program(engine):
-            order = []
-            rng = random.Random(7)
-
-            def work(tag):
-                order.append((engine.now, tag))
-                if len(order) < 400:
-                    for k in range(rng.randrange(3)):
-                        delay = rng.randrange(3)
-                        tag2 = f"{tag}.{k}"
-                        if rng.random() < 0.5:
-                            engine.schedule(engine.now + delay, work, tag2)
-                        else:
-                            entry = engine.call_at(
-                                engine.now + delay, work, tag2)
-                            if rng.random() < 0.2:
-                                entry.cancel()
-
-            for i in range(5):
-                engine.schedule(i % 3, work, str(i))
-            engine.run(max_events=2_000)
-            return order, engine.now, engine.events_executed
-
-        fast = program(Engine())
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        general = program(Engine())
-        assert fast == general
-
-    def test_general_engine_never_uses_runq(self, general_engine):
-        engine = general_engine
-        assert engine.fastpath is False
-        engine.call_soon(lambda: None)
-        engine.call_at(0, lambda: None)
-        # Same-cycle entries take the live calendar bucket, not the
-        # run queue.
-        assert engine._ring_count == 2
-        assert len(engine._runq) == 0
-        engine.run()
-        assert engine.runq_events == 0
-        assert engine.events_executed == 2
-        assert engine.ring_events == 2
-
-    def test_chain_first_steps_preserve_creation_order(self, monkeypatch):
+    def test_chain_first_steps_preserve_creation_order(self):
         """Callback chains started this cycle (the shape a processor
         frame takes: a first step deferred to the loop, then a
         self-reschedule) run their first steps in creation order."""
+        engine = Engine()
+        order = []
 
-        def program(engine):
-            order = []
+        def finish(i):
+            order.append(("end", i, engine.now))
 
-            def finish(i):
-                order.append(("end", i, engine.now))
+        def start(i):
+            order.append(("start", i, engine.now))
+            engine.schedule(engine.now + i + 1, finish, i)
 
-            def start(i):
-                order.append(("start", i, engine.now))
-                engine.schedule(engine.now + i + 1, finish, i)
-
-            for i in range(4):
-                engine.call_soon(start, i)
-            engine.run()
-            return order
-
-        fast = program(Engine())
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert fast == program(Engine())
+        for i in range(4):
+            engine.call_soon(start, i)
+        engine.run()
+        assert order == ([("start", i, 0) for i in range(4)]
+                         + [("end", i, i + 1) for i in range(4)])
 
 
 class TestRunQueueCancellation:
@@ -198,8 +140,9 @@ class TestRunQueueCancellation:
 
     def test_compaction_accounting_survives_runq_cancellations(self):
         engine = Engine()
-        # A burst of cancelled heap entries to trigger compaction while
-        # cancelled run-queue entries are outstanding.
+        # A burst of cancelled timed entries to trigger compaction while
+        # cancelled same-cycle entries sit in the live bucket, which
+        # compaction skips.
         for _ in range(4):
             entry = engine.call_at(0, lambda: None)
             entry.cancel()
