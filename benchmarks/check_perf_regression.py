@@ -22,7 +22,7 @@ ratchet is two-sided:
   regression floor rises with it.
 
 The same two-sided ratchet applies to the sharded all-to-all leg's
-aggregate events/second — the number the exchange-channel and
+aggregate events/second — the number the window protocol and
 adaptive-lookahead work exists to improve. That comparison is neutral
 (skipped, not passed) whenever either side's ``speedup_required`` is
 False (single-core runner, serial fallback) or the baseline predates

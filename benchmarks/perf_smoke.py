@@ -31,12 +31,13 @@ Times six things and writes ``BENCH_runner.json`` plus
   single-process and through :func:`repro.shard.run_sharded` (one
   worker process per node group): a ``rack_local`` leg whose traffic
   locality lets the shards free-run, and an ``all_to_all`` leg on a
-  WAN-latency fabric that exercises the windowed protocol (shared
-  memory struct exchange, adaptive lookahead). Both legs assert
-  bit-identical :class:`RunMetrics`; the aggregate-events/second
-  speedup gate applies only where meaningful, with
-  ``speedup_skip_reason`` recording why it was skipped (single-core
-  box, serial fallback) so CI can treat the skip as neutral;
+  WAN-latency fabric that exercises the windowed protocol (one
+  pickled outbox batch per worker per barrier, adaptive lookahead).
+  Both legs assert bit-identical :class:`RunMetrics`; the
+  aggregate-events/second speedup gate applies only where meaningful,
+  with ``speedup_skip_reason`` recording why it was skipped
+  (single-core box, serial fallback) so CI can treat the skip as
+  neutral;
 * **observability overhead** — one multiprogrammed run with the
   :class:`~repro.obs.Observatory` disabled vs enabled (best of N),
   asserting the metrics stay bit-identical and gating the events/sec
@@ -426,8 +427,9 @@ def bench_shard(shards: int = 2,
     * ``all_to_all`` — open-loop synth traffic with *no* locality on a
       WAN-latency fabric (base latency 600k cycles, matching deep
       per-destination credits): every send may cross shards, so the
-      run exercises the windowed protocol end to end — shared-memory
-      struct exchange, adaptive bounds, barrier accounting. The large
+      run exercises the windowed protocol end to end — each worker's
+      name-encoded outbox crosses its pipe as one pickled batch per
+      barrier, then adaptive bounds and barrier accounting. The large
       lookahead is what makes winning possible: each window carries
       hundreds of events per shard, so barrier and exchange costs
       amortize away. The exact shape (sparse sends relative to

@@ -2,17 +2,16 @@
 
 Each worker builds its full-machine replica (:class:`~repro.shard.
 machine.ShardMachine`), drives its local node group, and talks to the
-coordinator over one duplex pipe plus (windowed mode) a pair of
-pre-forked shared-memory exchange segments. Two execution modes:
+coordinator over one duplex pipe. Two execution modes:
 
 * **Windowed** (``lookahead`` given) — the conservative time-window
   protocol with adaptive bounds. The engine runs to the coordinator's
-  current window bound; at each barrier the worker struct-packs its
-  epoch outbox into its outbound segment (pickling only records the
-  fixed format cannot carry), reports its next pending event time, and
-  receives the inbound batch routed to it plus the next bound — derived
-  null-message style from the earliest pending event anywhere, so idle
-  stretches cost one barrier instead of one per lookahead window.
+  current window bound; at each barrier the worker name-encodes its
+  epoch outbox and sends it with its next pending event time in one
+  report, and receives the inbound batch routed to it plus the next
+  bound — derived null-message style from the earliest pending event
+  anywhere, so idle stretches cost one barrier instead of one per
+  lookahead window.
 * **Free-run** (``lookahead is None``) — the partition provably admits
   no cross-shard traffic (application locality groups nest inside the
   shard groups), so the worker runs to local completion with no
@@ -30,22 +29,20 @@ pre-forked shared-memory exchange segments. Two execution modes:
 
 Wire protocol (worker -> coordinator):
 
-* ``("epoch", index, packed_records, fallback, local_done, in_flight,
-  executed_delta, next_event_time, table_crc)`` at each barrier
-  (windowed mode); ``packed_records`` counts struct records already in
-  the outbound segment, ``fallback`` is the pickled ``(wire, origin)``
-  list for everything else, ``table_crc`` is the intern-table checksum
-  on the first barrier (None afterwards);
+* ``("epoch", epoch, outbox, local_done, in_flight, executed_delta,
+  next_event_time)`` at each barrier (windowed mode); ``outbox`` is the
+  list of :func:`~repro.shard.channel.encode_message` wire tuples sent
+  this window, in send order;
 * ``("flocal", local_finish_time)`` once, at local completion
   (free-run mode);
 * ``("result", partial)`` once, at the end — the harvest dict the
   coordinator merges (or ``("error", traceback_text)``).
 
-Coordinator -> worker: ``("continue", inbound_records, fallback,
-next_bound)`` or ``("finish",)``; fallback entries are ``("enc", wire,
-origin)`` pickled tuples or ``("raw", record_bytes)`` segment-overflow
-relays. Free-run mode instead gets one ``("align", global_finish,
-ties)`` reply to its ``flocal`` report.
+Coordinator -> worker: ``("continue", batch, next_bound)`` or
+``("finish",)``; ``batch`` is the ``(wire, origin_shard)`` list routed
+to this shard, in origin-shard order and then send order, which the
+worker decodes and injects in that order. Free-run mode instead gets
+one ``("align", global_finish, ties)`` reply to its ``flocal`` report.
 """
 
 from __future__ import annotations
@@ -54,10 +51,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.shard.channel import (
-    decode_message, encode_message, handler_table, pack_record,
-    table_crc, unpack_record,
-)
+from repro.shard.channel import Encoded, decode_message, encode_message
 from repro.shard.machine import ShardMachine
 
 
@@ -209,17 +203,11 @@ def shard_worker(conn, shard_index: int,
                  groups: Sequence[Tuple[int, ...]],
                  config, apps: Sequence[Any], measured_index: int,
                  lookahead: Optional[int],
-                 limit: Optional[int],
-                 exchange=None) -> None:
-    """Process body: never raises — errors travel up the pipe.
-
-    ``exchange`` is this worker's ``(outbound, inbound)``
-    :class:`~repro.shard.channel.ExchangeSegment` pair, created by the
-    coordinator before forking (windowed mode only).
-    """
+                 limit: Optional[int]) -> None:
+    """Process body: never raises — errors travel up the pipe."""
     try:
         _shard_worker(conn, shard_index, groups, config, apps,
-                      measured_index, lookahead, limit, exchange)
+                      measured_index, lookahead, limit)
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -230,7 +218,7 @@ def shard_worker(conn, shard_index: int,
 
 
 def _shard_worker(conn, shard_index, groups, config, apps,
-                  measured_index, lookahead, limit, exchange) -> None:
+                  measured_index, lookahead, limit) -> None:
     wall_started = time.perf_counter()
     machine = ShardMachine(config, groups, shard_index,
                            track_identity=lookahead is not None)
@@ -277,28 +265,8 @@ def _shard_worker(conn, shard_index, groups, config, apps,
                             windowed=False)))
         return
 
-    names = handler_table(machine.apps_by_gid)
-    index = {name: i for i, name in enumerate(names)}
-    crc = table_crc(names)
-    out_seg, in_seg = exchange
-    out_buf, in_buf = out_seg.buf, in_seg.buf
-    out_slots = out_seg.slots
     encode_seconds = 0.0
     engine = machine.engine
-
-    def inject(wire, origin, via_fallback, fast_keys):
-        decoded = decode_message(wire, machine.apps_by_gid)
-        if decoded is None:
-            flags.add("unresolvable-handler")
-            return
-        message, arrival = decoded
-        if via_fallback and (message.dst, arrival) in fast_keys:
-            # A fast-path and a fallback record share an arrival cycle
-            # at one destination: routing splits them across channels,
-            # so their monolithic send-order interleaving is lost.
-            flags.add("exchange-order-ambiguous")
-        fabric.inject_remote(message, arrival, origin)
-
     machine.start()
     epoch = 0
     bound = lookahead - 1
@@ -312,37 +280,28 @@ def _shard_worker(conn, shard_index, groups, config, apps,
         engine.run(until=bound)
         executed = engine.events_executed - before
         started_encode = time.perf_counter()
-        packed = 0
-        fallback: List[Tuple[Any, int]] = []
+        outbox: List[Encoded] = []
         for arrival, message in fabric.take_outbox():
             wire = encode_message(message, arrival, machine.apps_by_gid)
             if wire is None:
                 flags.add("unresolvable-handler")
-            elif packed < out_slots and pack_record(
-                    out_buf, packed, wire, shard_index, index):
-                packed += 1
             else:
-                fallback.append((wire, shard_index))
+                outbox.append(wire)
         encode_seconds += time.perf_counter() - started_encode
-        conn.send(("epoch", epoch, packed, fallback,
-                   _local_done(job, local), fabric.in_flight_local(),
-                   executed, engine.peek_time(),
-                   crc if epoch == 0 else None))
+        conn.send(("epoch", epoch, outbox, _local_done(job, local),
+                   fabric.in_flight_local(), executed,
+                   engine.peek_time()))
         reply = conn.recv()
         if reply[0] == "finish":
             break
-        _, inbound_records, fallback_in, bound = reply
-        fast_keys = set()
-        for slot in range(inbound_records):
-            wire, origin = unpack_record(in_buf, slot, names)
-            fast_keys.add((wire[1], wire[7]))  # (dst, arrival)
-            inject(wire, origin, False, fast_keys)
-        for entry in fallback_in:
-            if entry[0] == "raw":
-                wire, origin = unpack_record(entry[1], 0, names)
-            else:
-                _, wire, origin = entry
-            inject(wire, origin, True, fast_keys)
+        _, batch, bound = reply
+        for wire, origin in batch:
+            decoded = decode_message(wire, machine.apps_by_gid)
+            if decoded is None:
+                flags.add("unresolvable-handler")
+                continue
+            message, arrival = decoded
+            fabric.inject_remote(message, arrival, origin)
         epoch += 1
     conn.send(("result",
                _harvest(machine, job, wall_started, flags,

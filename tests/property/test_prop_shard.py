@@ -15,18 +15,12 @@ traffic aligned with the partition, no barriers at all).
 Template: ``test_prop_delivery.py``.
 """
 
-import pickle
 from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.synth import SynthApplication
 from repro.experiments.synth_sweeps import run_synth
-from repro.shard import (
-    decode_message, handler_table, pack_record, unpack_record,
-)
-from repro.shard.channel import MAX_FAST_PAYLOAD, RECORD_SIZE
 
 
 def _pair(group_size, t_betw, seed, shards, locality_groups=0):
@@ -63,68 +57,6 @@ def test_free_run_identity(group_size, t_betw, seed):
                                    locality_groups=2)
     assert asdict(sharded) == asdict(serial), extra
     assert extra["shard_mode"] in ("free-run", "serial", "serial-fallback")
-
-
-_APP = SynthApplication(num_nodes=4)
-_REPLICA = SynthApplication(num_nodes=4)
-_NAMES = handler_table({5: _APP})
-_INDEX = {name: i for i, name in enumerate(_NAMES)}
-
-#: Payload values spanning the fast case (in-range ints) and every
-#: fallback shape (bools, floats, strings, out-of-range ints).
-_value = st.one_of(
-    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
-    st.integers(min_value=1 << 63, max_value=1 << 70),
-    st.booleans(),
-    st.floats(allow_nan=False),
-    st.text(max_size=8),
-)
-
-_wire = st.tuples(
-    st.integers(min_value=0, max_value=3),          # src
-    st.integers(min_value=0, max_value=3),          # dst
-    st.just(5),                                     # gid
-    st.sampled_from(["_h_request", "_h_reply", "definitely_not"]),
-    st.lists(_value, max_size=MAX_FAST_PAYLOAD + 2).map(tuple),
-    st.booleans(),                                  # bulk
-    st.integers(min_value=0, max_value=1 << 40),    # inject_time
-    st.integers(min_value=0, max_value=1 << 40),    # arrival
-)
-
-
-@given(outbox=st.lists(_wire, max_size=16),
-       origin=st.integers(min_value=0, max_value=7))
-@settings(max_examples=60, deadline=None)
-def test_struct_codec_equals_pickle_codec(outbox, origin):
-    """Two-case exchange equivalence: every record the struct fast case
-    accepts round-trips to *exactly* what the pickled buffered case
-    carries; everything it refuses is a legitimate fallback shape
-    (non-int or oversized payload, bulk, unknown handler) — never a
-    silent mangling."""
-    buf = bytearray(max(1, len(outbox)) * RECORD_SIZE)
-    for slot, wire in enumerate(outbox):
-        via_pickle = pickle.loads(pickle.dumps((wire, origin)))
-        if pack_record(buf, slot, wire, origin=origin, index=_INDEX):
-            assert unpack_record(buf, slot, _NAMES) == via_pickle
-            # The fast case only ever carries plain in-range ints.
-            payload = wire[4]
-            assert len(payload) <= MAX_FAST_PAYLOAD
-            assert all(type(v) is int for v in payload)
-            # Both cases decode identically against the replica (or are
-            # identically unresolvable, e.g. the bogus handler name on
-            # a wire the table does know how to intern).
-            assert (decode_message(wire, {5: _REPLICA}) is None) == \
-                (decode_message(via_pickle[0], {5: _REPLICA}) is None)
-        else:
-            name, payload, bulk = wire[3], wire[4], wire[5]
-            assert (
-                bulk
-                or name not in _INDEX
-                or len(payload) > MAX_FAST_PAYLOAD
-                or any(type(v) is not int
-                       or not -(1 << 63) <= v < (1 << 63)
-                       for v in payload)
-            )
 
 
 @given(seed=st.integers(min_value=1, max_value=100))

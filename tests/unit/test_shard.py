@@ -1,12 +1,14 @@
 """Unit tests for sharded execution (``repro.shard``).
 
 Covers the pure pieces (partitioning, lookahead derivation, the wire
-codec), the cross-shard FIFO-preservation regression, and the serial
+codec), the cross-shard FIFO-preservation regression, the serial
 fallbacks of :func:`repro.shard.run_sharded` (single shard, fault
-plans, fork unavailable, coupling flags). The whole-run bit-identity
-properties live in ``tests/property/test_prop_shard.py``.
+plans, fork unavailable, coupling flags), and a guard that the CI
+all-to-all smoke really takes the windowed exchange. The whole-run
+bit-identity properties live in ``tests/property/test_prop_shard.py``.
 """
 
+import pickle
 from dataclasses import asdict
 
 import pytest
@@ -16,19 +18,14 @@ from repro.analysis.metrics import collect_metrics
 from repro.apps.null_app import NullApplication
 from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
+from repro.experiments.synth_sweeps import run_synth
 from repro.machine.machine import Machine
 from repro.network.message import Message
 from repro.network.topology import MeshTopology
 from repro.shard import (
-    MIN_MESSAGE_WORDS, ExchangeSegment, ShardMachine, decode_message,
-    encode_message, handler_table, lookahead_for,
-    min_cross_shard_latency, next_window_bound, owner_of, pack_record,
-    partition_nodes, run_sharded, table_crc, unpack_record,
-    windows_coalesced,
-)
-from repro.shard.channel import (
-    MAX_FAST_PAYLOAD, RECORD_SIZE, copy_record, peek_arrival, peek_dst,
-    raw_record,
+    MIN_MESSAGE_WORDS, ShardMachine, decode_message, encode_message,
+    lookahead_for, min_cross_shard_latency, next_window_bound, owner_of,
+    partition_nodes, run_sharded, windows_coalesced,
 )
 from repro.shard.coordinator import _occupancy_exceeded
 
@@ -107,20 +104,34 @@ class TestChannel:
         replica = SynthApplication(num_nodes=4)
         return app, replica
 
-    def test_round_trip_rebinds_against_replica(self):
+    @pytest.mark.parametrize("payload, bulk", [
+        ((0, 17), False),
+        ((True, False), False),           # bool must not become int
+        ((1.5, -0.0), False),             # float
+        (("gateway",), False),            # str
+        ((1 << 63, -(1 << 70)), False),   # beyond signed 64-bit
+        (tuple(range(64)), True),         # bulk body
+        (tuple(range(15)), False),        # 15 payload words
+    ], ids=["ints", "bool", "float", "str", "bigint", "bulk", "15-words"])
+    def test_round_trip_rebinds_against_replica(self, payload, bulk):
         app, replica = self._apps()
         message = Message(dst=2, handler=app._h_request,
-                          payload=(0, 17), src=0, gid=5)
+                          payload=payload, src=0, gid=5, bulk=bulk)
         message.inject_time = 123
         wire = encode_message(message, 456, {5: app})
         assert wire is not None
-        decoded = decode_message(wire, {5: replica})
+        # The wire crosses the pipe pickled, exactly as in a worker.
+        decoded = decode_message(pickle.loads(pickle.dumps(wire)),
+                                 {5: replica})
         assert decoded is not None
         rebuilt, arrival = decoded
         assert arrival == 456
         assert rebuilt.inject_time == 123
         assert (rebuilt.src, rebuilt.dst, rebuilt.gid) == (0, 2, 5)
-        assert rebuilt.payload == (0, 17)
+        assert rebuilt.bulk is bulk
+        assert rebuilt.payload == payload
+        assert [type(v) for v in rebuilt.payload] == \
+            [type(v) for v in payload]
         # The handler is the *replica's* bound method, not the source's.
         assert rebuilt.handler.__self__ is replica
         assert rebuilt.handler.__func__ is app._h_request.__func__
@@ -177,97 +188,6 @@ class TestAdaptiveLookahead:
         assert windows_coalesced(0, 199, 100) == 0
         assert windows_coalesced(0, 200, 100) == 1
         assert windows_coalesced(0, 1000, 100) == 9
-
-
-class TestStructCodec:
-    def _wire(self, payload=(0, 17), bulk=False, name="_h_request"):
-        # (src, dst, gid, handler_name, payload, bulk, inject, arrival)
-        return (0, 2, 5, name, payload, bulk, 123, 456)
-
-    def _table(self):
-        app = SynthApplication(num_nodes=4)
-        names = handler_table({5: app})
-        return names, {name: i for i, name in enumerate(names)}
-
-    def test_round_trip(self):
-        names, index = self._table()
-        buf = bytearray(4 * RECORD_SIZE)
-        wire = self._wire()
-        assert pack_record(buf, 2, wire, origin=1, index=index)
-        encoded, origin = unpack_record(buf, 2, names)
-        assert encoded == wire
-        assert origin == 1
-        assert peek_dst(buf, 2) == 2
-        assert peek_arrival(buf, 2) == 456
-
-    def test_empty_and_full_payloads(self):
-        names, index = self._table()
-        buf = bytearray(2 * RECORD_SIZE)
-        for slot, payload in ((0, ()),
-                              (1, tuple(range(MAX_FAST_PAYLOAD)))):
-            wire = self._wire(payload=payload)
-            assert pack_record(buf, slot, wire, origin=0, index=index)
-            assert unpack_record(buf, slot, names)[0] == wire
-
-    def test_int64_extremes_round_trip(self):
-        names, index = self._table()
-        buf = bytearray(RECORD_SIZE)
-        wire = self._wire(payload=(-(1 << 63), (1 << 63) - 1))
-        assert pack_record(buf, 0, wire, origin=0, index=index)
-        assert unpack_record(buf, 0, names)[0] == wire
-
-    def test_fallback_shapes_refuse_the_fast_case(self):
-        names, index = self._table()
-        buf = bytearray(RECORD_SIZE)
-        rejects = [
-            self._wire(payload=(True,)),       # bool is not int here
-            self._wire(payload=(1.5,)),        # float
-            self._wire(payload=("gateway",)),  # string
-            self._wire(payload=(1 << 63,)),    # overflows int64
-            self._wire(payload=tuple(range(MAX_FAST_PAYLOAD + 1))),
-            self._wire(bulk=True),             # bulk body rides the pipe
-            self._wire(name="not_a_handler"),  # unknown to the table
-        ]
-        for wire in rejects:
-            assert not pack_record(buf, 0, wire, origin=0, index=index)
-
-    def test_handler_table_is_deterministic_across_replicas(self):
-        app = SynthApplication(num_nodes=4)
-        replica = SynthApplication(num_nodes=8, seed=9)
-        table_a = handler_table({5: app, 7: NullApplication()})
-        table_b = handler_table({5: replica, 7: NullApplication()})
-        assert table_a == table_b
-        assert table_a == sorted(table_a)
-        assert table_crc(table_a) == table_crc(table_b)
-
-    def test_crc_is_order_and_content_sensitive(self):
-        assert table_crc(["a", "b"]) != table_crc(["b", "a"])
-        assert table_crc(["a", "b"]) != table_crc(["ab"])
-        assert table_crc(["a", "b"]) != table_crc(["a", "b", "c"])
-
-    def test_copy_and_raw_record_preserve_bytes(self):
-        names, index = self._table()
-        src_buf = bytearray(RECORD_SIZE)
-        dst_buf = bytearray(3 * RECORD_SIZE)
-        wire = self._wire(payload=(7, 8, 9))
-        assert pack_record(src_buf, 0, wire, origin=1, index=index)
-        copy_record(src_buf, 0, dst_buf, 1)
-        assert unpack_record(dst_buf, 1, names) == (wire, 1)
-        detached = raw_record(src_buf, 0)
-        assert detached == bytes(src_buf[:RECORD_SIZE])
-        assert isinstance(detached, bytes)
-
-    def test_exchange_segment_lifecycle(self):
-        names, index = self._table()
-        segment = ExchangeSegment(slots=4)
-        try:
-            wire = self._wire()
-            assert pack_record(segment.buf, 3, wire, origin=0,
-                               index=index)
-            assert unpack_record(segment.buf, 3, names) == (wire, 0)
-        finally:
-            segment.destroy()
-        assert segment.buf is None
 
 
 class TestCrossShardFifo:
@@ -364,6 +284,24 @@ class TestRunShardedFallbacks:
         assert "re-running single-process" in capsys.readouterr().err
         expected = _serial_metrics(config, _synth_apps(**kwargs))
         assert asdict(metrics) == asdict(expected)
+
+
+class TestWindowedExchange:
+    def test_all_to_all_smoke_runs_windowed(self):
+        """The CI all-to-all shard smoke must take the windowed exchange,
+        not certify a serial fallback: a WAN-latency fabric gives the
+        window protocol enough lookahead for all-to-all traffic."""
+        kwargs = dict(group_size=10, t_betw=275, seed=1,
+                      messages_per_node=40, num_nodes=8,
+                      net_base_latency=2000)
+        serial = run_synth(**kwargs)
+        extra: dict = {}
+        sharded = run_synth(shards=2, extra_out=extra, **kwargs)
+        assert extra["shard_mode"] == "windowed", extra
+        assert extra["shard_flags"] == []
+        assert extra["cross_shard_messages"] > 0
+        assert extra["bytes_exchanged"] > 0
+        assert asdict(sharded) == asdict(serial)
 
 
 class TestOccupancySweep:
