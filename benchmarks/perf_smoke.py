@@ -7,14 +7,14 @@ Times six things and writes ``BENCH_runner.json`` plus
   (events/second, best of 3) of the engine's one run loop on the
   machine's own callback shapes (self-rescheduling bound methods with
   an argument through ``schedule``, a fixed share through cancellable
-  ``call_at`` handles) — with the calendar queue's tier counters
-  (bucket hits, overflow-heap inserts, per-cycle batch sizes) — and on
-  a cancellation-heavy loop (the lazy-deletion/compaction path). The
-  throughput is also written as ``reference_events_per_second``: scaled
-  by the host's speed, timed with ``perfbench/hostspeed.py``'s probe in
-  the same process, to what a host running the probe in ``NOMINAL_S``
-  would do. That is the figure the CI ratchet compares, so it holds
-  across machines;
+  ``call_at`` handles) — and on a cancellation-heavy loop (the
+  lazy-deletion/compaction path). The throughput is also written as
+  ``reference_events_per_second``: scaled by the host's speed, timed
+  with ``perfbench/hostspeed.py``'s probe in the same process, to what
+  a host running the probe in ``NOMINAL_S`` would do. It explains
+  engine cost but gates nothing: its dense fixed-delay tickers are not
+  the shape real runs schedule (``check_perf_regression.py`` gates on
+  paired ``perfbench`` runs instead);
 * **runner sweep, serial vs parallel vs auto** — a small fixed
   multiprogrammed sweep through :func:`repro.runner.run_specs` at
   ``jobs=1``, forced ``mode="parallel"`` at ``jobs=N``, and
@@ -117,9 +117,7 @@ def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
     self-rescheduling callbacks, best of ``repeats``.
 
     One step in ``handle_every`` goes through a cancellable ``call_at``
-    handle, the rest through handle-free ``schedule``. Also records the
-    calendar queue's tier counters from the fastest run: bucket hits vs
-    overflow-heap inserts, and how coarse the per-cycle batching ran.
+    handle, the rest through handle-free ``schedule``.
 
     ``probe_s`` is the fastest of ``probes`` host-speed probes, and
     ``reference_events_per_second`` the throughput scaled by
@@ -141,7 +139,6 @@ def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
                        key=lambda pair: pair[1])
     probe_s = min(probe() for _ in range(probes))
     events_per_second = engine.events_executed / wall
-    batches = engine.cycle_batches
     return {
         "repeats": repeats,
         "events": engine.events_executed,
@@ -150,11 +147,6 @@ def bench_engine_events(n_tickers: int = 50, steps: int = 2000,
         "probe_s": probe_s,
         "reference_events_per_second": (events_per_second * probe_s
                                         / NOMINAL_S),
-        "ring_events": engine.ring_events,
-        "overflow_scheduled": engine.overflow_scheduled,
-        "cycle_batches": batches,
-        "mean_batch_events": (engine.ring_events / batches
-                              if batches else 0.0),
     }
 
 
@@ -302,18 +294,12 @@ def bench_fastpath(repeats: int = 3) -> dict:
     engine = machine.engine
     base = asdict(metrics)
     identical = all(asdict(m) == base for _m, m, _c, _w in runs[1:])
-    batches = engine.cycle_batches
     return {
         "repeats": repeats,
         "wall_seconds": best_wall,
         "events_per_second": engine.events_executed / best_wall,
         "closures_scheduled": counts["closures"],
         "callbacks_scheduled": counts["scheduled"],
-        "ring_events": engine.ring_events,
-        "overflow_scheduled": engine.overflow_scheduled,
-        "cycle_batches": batches,
-        "mean_batch_events": (engine.ring_events / batches
-                              if batches else 0.0),
         "metrics_identical": identical,
         "gate_ok": counts["closures"] == 0 and identical,
     }

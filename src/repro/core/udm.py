@@ -162,10 +162,35 @@ class UdmRuntime:
             self._trace_handled(message, "fast path")
             yield Compute(1)
         except TrapSignal as signal:
-            if signal.trap is Trap.DISPOSE_EXTEND:
-                yield from self._emulated_dispose()
-            else:
+            if signal.trap is not Trap.DISPOSE_EXTEND:
                 yield from self.kernel.service_trap(signal, self.state)
+            elif self.state.buffer.empty:
+                yield from self._dispose_held_head()
+            else:
+                yield from self._emulated_dispose()
+
+    def _dispose_held_head(self) -> Generator:
+        """Dispose-extend with an empty software buffer: the caller
+        still holds the hardware head.
+
+        A zerocopy ring fault or a damq pressure eviction switches the
+        job to buffered mode from inside a fabric arrival, which can
+        land while a handler holds the hardware head and before the
+        kernel's mismatch drain has moved that head into the buffer.
+        The trap handler frees the head in hardware, as the dispose
+        would have before the switch, so the message stays a fast-path
+        one. The head is freed before any cycle is charged: a drain
+        preempting the charge must not see it.
+        """
+        ni = self.ni
+        head = ni.head
+        if head is None or head.is_kernel or head.gid != self.state.gid:
+            raise TrapSignal(Trap.BAD_DISPOSE,
+                             {"reason": "buffered dispose, empty buffer"})
+        message = ni.dispose(privileged=True)
+        self.job.two_case.fast_messages += 1
+        self._trace_handled(message, "fast path")
+        yield Compute(self.costs.kernel.trap_overhead + 1)
 
     def _emulated_dispose(self) -> Generator:
         """Buffered-mode dispose: pop the software buffer.
@@ -174,11 +199,7 @@ class UdmRuntime:
         cycles the application's handler charges itself, so a buffered
         null message costs insert(180) + extract(52) = 232 total.
         """
-        buffer = self.state.buffer
-        if buffer.empty:
-            raise TrapSignal(Trap.BAD_DISPOSE,
-                             {"reason": "buffered dispose, empty buffer"})
-        message = buffer.pop()
+        message = self.state.buffer.pop()
         self.ni.set_kernel_uac(dispose_pending=False)
         # The Table 5 extraction cost covers dispatch-from-DRAM plus the
         # dispose emulation; the handler body charges its own cycles

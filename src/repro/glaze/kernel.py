@@ -485,9 +485,7 @@ class NodeKernel:
         """Handle a trap raised by an NI operation in user code."""
         trap = signal.trap
         yield Compute(self.costs.kernel.trap_overhead)
-        if trap is Trap.DISPOSE_EXTEND:
-            yield from self._trap_dispose_extend(state)
-        elif trap is Trap.ATOMICITY_EXTEND:
+        if trap is Trap.ATOMICITY_EXTEND:
             self._trap_atomicity_extend(state, endatom_mask)
         elif trap is Trap.PAGE_FAULT:
             yield from self._trap_page_fault(state)
@@ -507,16 +505,6 @@ class NodeKernel:
             )
         else:  # pragma: no cover - defensive
             raise GlazeError(f"unhandled trap {trap}")
-
-    def _trap_dispose_extend(self, state: JobNodeState) -> Generator:
-        """Emulate dispose against the software buffer (Figure 5)."""
-        if state.buffer.empty:
-            raise ApplicationProtocolError(
-                f"job {state.job.name}: dispose-extend with empty buffer"
-            )
-        state.buffer.pop()
-        self.ni.set_kernel_uac(dispose_pending=False)
-        yield Compute(0)
 
     def _trap_atomicity_extend(self, state: JobNodeState, mask: int) -> None:
         """The user's atomic section ended after a revocation: clear the

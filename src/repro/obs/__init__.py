@@ -81,8 +81,6 @@ class Observatory:
         # Counters and gauges, harvested authoritatively in finalize().
         for name in (
             "engine.events", "engine.compactions",
-            "engine.ring_events", "engine.overflow_scheduled",
-            "engine.cycle_batches",
             "fabric.messages_sent", "fabric.messages_delivered",
             "fabric.words_carried", "fabric.sender_blocks",
             "fabric.messages_dropped", "fabric.messages_duplicated",
@@ -177,11 +175,6 @@ class Observatory:
         engine = machine.engine
         total("engine.events", engine.events_executed)
         total("engine.compactions", engine.compactions)
-        # Calendar-queue tiers: bucket hits vs far-future overflow-heap
-        # entries, and how coarse the per-cycle batching ran.
-        total("engine.ring_events", engine.ring_events)
-        total("engine.overflow_scheduled", engine.overflow_scheduled)
-        total("engine.cycle_batches", engine.cycle_batches)
         gauge("engine.pending", engine.pending)
 
         fab = machine.fabric.stats

@@ -1,7 +1,7 @@
 """Sharded multi-process simulation (distributed DES).
 
 Partitions the simulated machine into per-node-group shards, each
-owning its own calendar-queue engine in a forked worker process,
+owning its own event engine in a forked worker process,
 synchronized with a conservative time-window protocol whose lookahead
 is the fabric's minimum cross-shard end-to-end latency. Cross-shard
 messages are the only inter-process traffic: each window's batch is

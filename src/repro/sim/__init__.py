@@ -4,7 +4,7 @@ A minimal, fast, deterministic event engine. Time is a global integer
 cycle counter. Higher layers (machine, network, OS) are built from three
 primitives:
 
-* :class:`~repro.sim.engine.Engine` — the calendar queue, clock and the
+* :class:`~repro.sim.engine.Engine` — the event heap, clock and the
   one run loop. It dispatches three callback shapes (a bare callable,
   an ``(fn, arg)`` pair, a cancellable handle from ``call_at``);
   ``run(until=..., max_events=...)`` bounds it and ``stop()`` halts it

@@ -1,4 +1,4 @@
-"""The discrete-event engine: clock, calendar queue and one run loop.
+"""The discrete-event engine: clock, one binary heap and one run loop.
 
 The engine is deliberately small. All simulation behaviour above it is
 expressed as scheduled callbacks, in one of three shapes:
@@ -17,9 +17,8 @@ Two-case scheduling
 -------------------
 
 The engine itself exploits the paper's two-case idea: the common case
-(a callback that needs no cancellation handle, or one scheduled a small
-constant number of cycles ahead) pays for none of the machinery the
-uncommon case needs.
+(a callback that needs no cancellation handle) pays for none of the
+machinery the uncommon case needs.
 
 * :meth:`Engine.schedule` is the fast case — no ``_ScheduledCall``
   handle is allocated and there is no freelist or refcount bookkeeping
@@ -27,48 +26,34 @@ uncommon case needs.
 * :meth:`Engine.call_at` is the general case — it returns a cancellable
   handle, at the cost of one (recycled) ``_ScheduledCall`` per call.
 
-Calendar queue
---------------
+Ordering
+--------
 
-Timed storage is a classic calendar (bucket) queue keyed on the integer
-cycle clock, not a binary heap. Almost every delay charged by the
-simulator is a small constant from :mod:`repro.core.costs`, so the
-engine keeps a power-of-two ring of per-cycle buckets covering the
-sliding window ``[now, now + window)`` — window sized at import time to
-cover the largest per-message cost constant — and schedules into bucket
-``time & (window - 1)`` in O(1). The rare far-future entry (long
-timeout, scheduler timeslice, page-out) goes to a heap-backed
-**overflow tier** ordered by ``(time, seq)`` tuple comparison.
-
-Ordering is exactly the heap engine's global ``(time, seq)`` FIFO:
-
-* a bucket is only ever populated with entries for one absolute time
-  (everything in the ring lies within one window of ``now``), so
-  bucket append order is schedule order — including same-cycle
-  schedules, which append to the live bucket while it drains;
-* overflow entries at time ``T`` can only exist while ``T >= now +
-  window``, and direct ring inserts at ``T`` only happen once ``now >
-  T - window`` — strictly later. The overflow tier is pulled into the
-  ring *eagerly at every clock advance* (before any callback at the
-  new ``now`` runs), so pulled entries land in their bucket ahead of
-  any later direct insert, in heap ``(time, seq)`` order. Append order
-  therefore equals global schedule order in every bucket.
+Pending work is one ``heapq`` of ``(time, seq, fn, arg)`` tuples
+(handle-free) or ``(time, seq, entry, _ENTRY)`` tuples (cancellable),
+where ``seq`` counts every schedule. ``seq`` is unique, so tuple
+comparison never reaches the callback, and execution order is exactly
+global ``(time, seq)`` FIFO: a callback scheduled for the current
+cycle runs after everything already pending at that cycle. A
+cancelled entry stays in the heap (lazy deletion) and is skipped when
+it reaches the top; when cancellations dominate the heap it is swept
+in one pass. :meth:`Engine.peek_time` reads the top in O(1), popping
+cancelled heads first.
 
 One run loop
 ------------
 
-:meth:`Engine.run` is the only dispatch loop. It drains a cycle's
-bucket — picking up same-cycle work appended while it runs — with
-attribute lookups hoisted and the three callback shapes told apart by
-exact class check. ``until`` and ``max_events`` bound it;
-:meth:`Engine.stop` halts it after the current event in every run, so
+:meth:`Engine.run` is the only dispatch loop. It pops the heap's top,
+with attribute lookups hoisted and the handle told apart by its
+marker. ``until`` and ``max_events`` bound it; :meth:`Engine.stop`
+halts it after the current event in every run, so
 ``job.done.subscribe(engine.stop)`` exits right after the finishing
 event.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, List, Optional
 
@@ -89,7 +74,7 @@ class _Sentinel:
 
 #: "No argument" marker: ``fn()`` is called instead of ``fn(arg)``.
 _NO_ARG = _Sentinel("no-arg")
-#: Overflow-heap marker in slot 3: slot 2 holds a cancellable entry.
+#: Heap-tuple marker in slot 3: slot 2 holds a cancellable entry.
 _ENTRY = _Sentinel("entry")
 
 
@@ -97,10 +82,8 @@ class _ScheduledCall:
     """Public cancellable handle for one scheduled callback;
     ``cancelled`` makes removal O(1) (lazy deletion).
 
-    This is *only* a handle: ordering lives in the calendar ring's
-    bucket positions and, for overflow entries, in the heap's
-    ``(time, seq, entry, _ENTRY)`` tuples — ``seq`` is unique, so tuple
-    comparison never reaches the entry object. Entries keep a
+    This is *only* a handle: ordering lives in the heap's
+    ``(time, seq, entry, _ENTRY)`` tuples. Entries keep a
     back-reference to their engine so cancellation can be counted: when
     cancelled entries dominate the pending set the engine compacts them
     away in one pass instead of dragging dead weight to its timestamp.
@@ -127,35 +110,6 @@ class _ScheduledCall:
                 self.engine._note_cancelled()
 
 
-def _window_from_costs() -> int:
-    """Calendar window: smallest power of two (>= 1024) strictly larger
-    than every per-message cost constant in :mod:`repro.core.costs`.
-
-    ``page_out`` and the scheduler timeslice are deliberately excluded:
-    they occur per page-out / per quantum, not per message, and belong
-    on the overflow tier.
-    """
-    from repro.core.costs import BufferedPathCosts, KernelCosts
-
-    longest = max(
-        BufferedPathCosts.insert_with_vmalloc,
-        KernelCosts.context_switch,
-        KernelCosts.mode_transition,
-        KernelCosts.mismatch_entry,
-        KernelCosts.trap_overhead,
-        KernelCosts.hardware_demux,
-        KernelCosts.pinned_retry_delay,
-    )
-    window = 1024
-    while window <= longest:
-        window *= 2
-    return window
-
-
-#: Ring size for every engine unless overridden (4096 with the stock
-#: cost model: one bucket per cycle over [now, now + 4096)).
-_DEFAULT_WINDOW = _window_from_costs()
-
 #: Compact when at least this many entries are cancelled *and*
 #: cancellations make up at least half of everything pending. Small
 #: enough to bound memory under cancellation storms, large enough that
@@ -170,41 +124,26 @@ _UNBOUNDED = float("inf")
 
 
 class Engine:
-    """The calendar queue, overflow heap and simulated clock (integer
-    cycles)."""
+    """The event heap and simulated clock (integer cycles)."""
 
-    def __init__(self, window: Optional[int] = None) -> None:
-        if window is None:
-            window = _DEFAULT_WINDOW
-        elif window < 2 or window & (window - 1):
-            raise ValueError(f"window must be a power of two >= 2: {window}")
+    #: perfbench reads these calendar-queue counters by name; the heap
+    #: engine has no ring, run queue, overflow tier or bucket batches.
+    ring_events = 0
+    runq_events = 0
+    overflow_scheduled = 0
+    cycle_batches = 0
+
+    def __init__(self) -> None:
         self.now: int = 0
-        #: Calendar ring: bucket ``time & _mask`` holds every pending
-        #: entry at ``time`` for ``now <= time < now + window``. Items
-        #: are bare callables, ``(fn, arg)`` pairs or ``_ScheduledCall``
-        #: entries, in schedule order.
-        self._window: int = window
-        self._mask: int = window - 1
-        self._ring: List[list] = [[] for _ in range(window)]
-        #: Total items in the ring (live + lazily-cancelled).
-        self._ring_count: int = 0
-        #: Overflow tier for times >= now + window: heap of
-        #: ``(time, seq, entry, _ENTRY)`` (cancellable) or
-        #: ``(time, seq, fn, arg)`` (handle-free) tuples.
+        #: ``(time, seq, fn, arg)`` (handle-free) or
+        #: ``(time, seq, entry, _ENTRY)`` (cancellable) tuples.
         self._heap: List[tuple] = []
-        #: Tie-break for overflow-heap tuples only; the ring needs none.
+        #: Schedule counter: the FIFO tie-break among equal times.
         self._seq: int = 0
         self._events_executed: int = 0
-        #: Events that ran out of a calendar bucket.
-        self._ring_executed: int = 0
-        #: Entries that took the overflow heap at schedule time.
-        self._overflow_scheduled: int = 0
-        #: Bucket drains that executed at least one event (batch count).
-        self._cycle_batches: int = 0
-        #: Cancelled entries still pending in ring or heap (lazy
-        #: deletion).
+        #: Cancelled entries still in the heap (lazy deletion).
         self._cancelled_pending: int = 0
-        #: Times the pending set was swept to drop cancelled entries.
+        #: Times the heap was swept to drop cancelled entries.
         self._compactions: int = 0
         #: Retired entries available for reuse (allocation recycling).
         self._free: List[_ScheduledCall] = []
@@ -220,50 +159,28 @@ class Engine:
         # Compact on the cancellation that crosses the threshold, not on
         # every schedule: keeps the check off the scheduling hot path.
         if (cancelled >= _COMPACT_MIN_CANCELLED
-                and cancelled * 2 >= len(self._heap) + self._ring_count):
+                and cancelled * 2 >= len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from heap and ring in one O(n) sweep,
-        with exact removal accounting.
-
-        The live bucket (``ring[now & mask]``) is skipped: the drain
-        loop may be mid-iteration over it, and its cancelled items are
-        skipped (and accounted) at drain anyway.
-        """
-        removed = 0
-        # In place: run() holds references to these containers.
-        heap = self._heap
+        """Drop cancelled entries from the heap in one O(n) sweep."""
+        heap = self._heap  # in place: run() holds a reference
         live = [item for item in heap
                 if item[3] is not _ENTRY or not item[2].cancelled]
-        removed += len(heap) - len(live)
+        self._cancelled_pending -= len(heap) - len(live)
         heap[:] = live
-        heapq.heapify(heap)
-        active = self._ring[self.now & self._mask]
-        for bucket in self._ring:
-            if not bucket or bucket is active:
-                continue
-            kept = [item for item in bucket
-                    if item.__class__ is not _ScheduledCall
-                    or not item.cancelled]
-            dropped = len(bucket) - len(kept)
-            if dropped:
-                bucket[:] = kept
-                self._ring_count -= dropped
-                removed += dropped
-        self._cancelled_pending -= removed
+        heapify(heap)
         self._compactions += 1
 
     def call_at(self, time: int, fn: Callable[..., None],
                 arg: Any = _NO_ARG) -> _ScheduledCall:
         """Schedule ``fn()`` (or ``fn(arg)``) at absolute ``time``
         (>= now), returning a cancellable handle."""
-        now = self.now
         if type(time) is not int:
             time = int(time)
-        if time < now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
         free = self._free
         if free:
@@ -274,13 +191,8 @@ class Engine:
             entry.cancelled = False
         else:
             entry = _ScheduledCall(time, fn, arg, self)
-        if time - now < self._window:
-            self._ring[time & self._mask].append(entry)
-            self._ring_count += 1
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, entry, _ENTRY))
-            self._overflow_scheduled += 1
+        seq = self._seq = self._seq + 1
+        heappush(self._heap, (time, seq, entry, _ENTRY))
         return entry
 
     def call_after(self, delay: int, fn: Callable[..., None],
@@ -292,21 +204,14 @@ class Engine:
                  arg: Any = _NO_ARG) -> None:
         """Schedule ``fn()`` (or ``fn(arg)``) at ``time``, without a
         cancellation handle — the common-case fast path."""
-        now = self.now
         if type(time) is not int:
             time = int(time)
-        if time < now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
-        if time - now < self._window:
-            self._ring[time & self._mask].append(
-                fn if arg is _NO_ARG else (fn, arg))
-            self._ring_count += 1
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, fn, arg))
-            self._overflow_scheduled += 1
+        seq = self._seq = self._seq + 1
+        heappush(self._heap, (time, seq, fn, arg))
 
     def call_soon(self, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn`` this cycle, after already-pending same-cycle
@@ -320,8 +225,8 @@ class Engine:
         """Recycle a popped entry if provably unreferenced elsewhere.
 
         ``getrefcount`` sees exactly three references (the caller's
-        local, this frame's binding and the getrefcount argument) when
-        no external holder kept the entry returned from
+        heap tuple, this frame's binding and the getrefcount argument)
+        when no external holder kept the entry returned from
         :meth:`call_at`; only then is reuse safe — a stale holder
         calling ``cancel()`` on a recycled entry would cancel an
         unrelated callback.
@@ -331,81 +236,19 @@ class Engine:
             entry.arg = None
             self._free.append(entry)
 
-    def _pull_overflow(self, horizon: int) -> None:
-        """Move overflow-heap entries with ``time < horizon`` into their
-        ring buckets, in ``(time, seq)`` order.
-
-        Called at every clock advance (and after an ``until`` clamp)
-        with ``horizon = now + window``, *before* any callback at the
-        new ``now`` runs — this eager pull is what makes bucket append
-        order equal global schedule order (see the module docstring's
-        ordering argument).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        ring = self._ring
-        mask = self._mask
-        pulled = 0
-        while heap and heap[0][0] < horizon:
-            time, _seq, x, marker = heappop(heap)
-            if marker is _ENTRY:
-                if x.cancelled:
-                    self._cancelled_pending -= 1
-                    self._retire(x)
-                    continue
-                ring[time & mask].append(x)
-            elif marker is _NO_ARG:
-                ring[time & mask].append(x)
-            else:
-                ring[time & mask].append((x, marker))
-            pulled += 1
-        self._ring_count += pulled
-
-    def _next_live_heap_time(self) -> Optional[int]:
-        """Earliest live overflow entry time (pops cancelled heads)."""
+    def peek_time(self) -> Optional[int]:
+        """Earliest pending event time, or None when nothing is pending.
+        Pops cancelled entries off the top; does not advance the
+        clock."""
         heap = self._heap
         while heap:
             item = heap[0]
-            if item[3] is _ENTRY and item[2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-                self._retire(item[2])
-                continue
-            return item[0]
+            if item[3] is not _ENTRY or not item[2].cancelled:
+                return item[0]
+            heappop(heap)
+            self._cancelled_pending -= 1
+            self._retire(item[2])
         return None
-
-    def peek_time(self) -> Optional[int]:
-        """Earliest pending event time, or None when nothing is pending.
-        Cleans cancelled entries off bucket fronts; does not advance the
-        clock."""
-        if self._ring_count:
-            ring = self._ring
-            mask = self._mask
-            t = self.now
-            limit = t + self._window
-            while t < limit:
-                bucket = ring[t & mask]
-                while bucket:
-                    item = bucket[0]
-                    if (item.__class__ is not _ScheduledCall
-                            or not item.cancelled):
-                        return t
-                    del bucket[0]
-                    self._ring_count -= 1
-                    self._cancelled_pending -= 1
-                    self._retire(item)
-                if not self._ring_count:
-                    break
-                t += 1
-        return self._next_live_heap_time()
-
-    def _clamp_to(self, until: int) -> None:
-        """Advance the clock to ``until`` without running anything,
-        restoring the overflow invariant (heap times >= now + window)."""
-        self.now = until
-        heap = self._heap
-        if heap and heap[0][0] < until + self._window:
-            self._pull_overflow(until + self._window)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -424,68 +267,24 @@ class Engine:
 
         The one dispatch loop: the budget and stop flag are checked
         before every event and the counters updated after it (timeline
-        samplers read them mid-run); a bucket left early is consumed
-        only up to the last event run.
+        samplers read them mid-run). Past ``until``, or with nothing
+        left pending, the clock is set to ``until``; a stopped or
+        budget-bounded run leaves it at its last event.
         """
         self._stop = False
         now = self.now
         if until is not None and until < now:
             return now
-        ring = self._ring
-        mask = self._mask
         heap = self._heap
         free = self._free
         refcount = getrefcount
-        window = self._window
-        entry_cls = _ScheduledCall
-        tuple_cls = tuple
         no_arg = _NO_ARG
+        entry_marker = _ENTRY
         cap = _FREELIST_MAX
         stop_bound = _UNBOUNDED if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         executed = 0
-        while True:
-            bucket = ring[now & mask]
-            if bucket:
-                i = 0
-                batch = 0
-                while i < len(bucket):
-                    if executed >= budget or self._stop:
-                        break
-                    item = bucket[i]
-                    i += 1
-                    cls = item.__class__
-                    if cls is tuple_cls:
-                        fn, arg = item
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            self._cancelled_pending -= 1
-                            if refcount(item) == 3 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
-                            continue
-                        fn = item.fn
-                        arg = item.arg
-                        item.fn = None  # fired: a later cancel() is a no-op
-                        if refcount(item) == 3 and len(free) < cap:
-                            item.arg = None
-                            free.append(item)
-                    else:
-                        fn = item
-                        arg = no_arg
-                    executed += 1
-                    batch += 1
-                    self._events_executed += 1
-                    self._ring_executed += 1
-                    if arg is no_arg:
-                        fn()
-                    else:
-                        fn(arg)
-                del bucket[:i]
-                self._ring_count -= i
-                if batch:
-                    self._cycle_batches += 1
+        while heap:
             if self._stop:
                 return now
             if executed >= budget:
@@ -494,73 +293,54 @@ class Engine:
                     self.now = until
                     return until
                 return now
-            # Advance: nearest nonempty bucket, else the overflow tier.
-            if self._ring_count:
-                t = now + 1
-                end = now + window
-                while not ring[t & mask]:
-                    t += 1
-                    if t == end:
-                        raise SimulationError(
-                            "calendar ring accounting corrupt: "
-                            f"{self._ring_count} items not found in window"
-                        )
-                if t > stop_bound:
-                    self._clamp_to(until)
-                    return until
-                now = t
-                self.now = t
-                if heap and heap[0][0] < t + window:
-                    self._pull_overflow(t + window)
+            time, seq, fn, arg = heappop(heap)
+            if time > stop_bound:
+                heappush(heap, (time, seq, fn, arg))
+                self.now = until
+                return until
+            if arg is entry_marker:
+                entry = fn
+                if entry.cancelled:
+                    self._cancelled_pending -= 1
+                    if refcount(entry) == 3 and len(free) < cap:
+                        entry.fn = None
+                        entry.arg = None
+                        free.append(entry)
+                    continue
+                fn = entry.fn
+                arg = entry.arg
+                entry.fn = None  # fired: a later cancel() is a no-op
+                if refcount(entry) == 2 and len(free) < cap:
+                    entry.arg = None
+                    free.append(entry)
+                del entry
+            now = self.now = time
+            executed += 1
+            self._events_executed += 1
+            if arg is no_arg:
+                fn()
             else:
-                t = self._next_live_heap_time()
-                if t is None:
-                    if until is not None and now < until:
-                        self.now = until
-                        return until
-                    return now
-                if t > stop_bound:
-                    self._clamp_to(until)
-                    return until
-                now = t
-                self.now = t
-                self._pull_overflow(t + window)
+                fn(arg)
+        if self._stop:
+            return now
+        if until is not None and now < until:
+            self.now = until
+            return until
+        return now
 
     @property
     def events_executed(self) -> int:
         return self._events_executed
 
     @property
-    def ring_events(self) -> int:
-        """Events that ran out of a calendar bucket (bucket hits)."""
-        return self._ring_executed
-
-    #: perfbench reads this name; nothing increments it (every event
-    #: runs out of a calendar bucket).
-    runq_events = 0
-
-    @property
-    def overflow_scheduled(self) -> int:
-        """Entries that landed on the overflow heap at schedule time."""
-        return self._overflow_scheduled
-
-    @property
-    def cycle_batches(self) -> int:
-        """Bucket drains that executed at least one event."""
-        return self._cycle_batches
-
-    @property
     def compactions(self) -> int:
-        """Times the pending set was swept to shed cancelled entries."""
+        """Times the heap was swept to shed cancelled entries."""
         return self._compactions
 
     @property
     def pending(self) -> int:
         """Live (non-cancelled) entries still scheduled."""
-        return len(self._heap) + self._ring_count - self._cancelled_pending
+        return len(self._heap) - self._cancelled_pending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Engine t={self.now} "
-            f"pending={len(self._heap) + self._ring_count}>"
-        )
+        return f"<Engine t={self.now} pending={len(self._heap)}>"

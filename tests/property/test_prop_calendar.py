@@ -1,15 +1,13 @@
-"""Property tests: calendar-queue engine vs a reference heap engine.
+"""Property tests: the engine vs a reference heap engine.
 
 The reference engine below *is* the ordering spec: one binary heap of
 ``(time, seq)`` tuples with ``seq`` incremented on every schedule, so
-execution order is exactly global ``(time, seq)`` FIFO. The calendar
-engine's two timed tiers (bucket ring + overflow heap), with same-cycle
-schedules appended to the live bucket, must reproduce that order
-bit-identically — including
-far-future entries that cross the overflow boundary, entries that
-migrate from the overflow heap into the ring as the window slides,
-and lazy-deleted cancellations — with identical ``events_executed``
-and (for pre-run cancellation storms) ``compactions`` accounting.
+execution order is exactly global ``(time, seq)`` FIFO, written as
+plainly as possible (one handle per entry, no freelist, no handle-free
+shapes). The engine must reproduce that order bit-identically —
+including same-cycle schedules, far-future entries and lazy-deleted
+cancellations — with identical ``events_executed`` and (for pre-run
+cancellation storms) ``compactions`` accounting.
 
 The random program is driven two ways: one unbounded ``run()``, and a
 sequence of ``run(until=t)`` windows with ``stop()`` raised from inside
@@ -27,9 +25,10 @@ from hypothesis import strategies as st
 import repro.sim.engine as engine_mod
 from repro.sim.engine import Engine
 
-#: Small window so ordinary random delays regularly cross the
-#: ring/overflow boundary.
-WINDOW = 16
+#: Delay unit of the random programs: delays fall in a same-cycle
+#: band, a near band (under 3 spans) and a far-future band (20 to 40
+#: spans), and ``run(until=t)`` windows are up to 4 spans long.
+SPAN = 16
 
 
 class _RefHandle:
@@ -55,7 +54,7 @@ class ReferenceEngine:
     Mirrors the public scheduling API (``call_at``/``call_after``/
     ``schedule``/``call_soon``/``run``/``stop``/``peek_time``) and the
     cancellation + compaction accounting rules, with none of the
-    calendar machinery.
+    engine's shortcuts.
     """
 
     def __init__(self, compact_min=None):
@@ -146,10 +145,9 @@ class ReferenceEngine:
 def _random_program(engine, seed, size, windowed=False):
     """A seeded self-rescheduling workload mixing every primitive.
 
-    Delays are drawn from three bands: same-cycle, inside the calendar
-    window, and far past it (overflow tier); handles are cancelled at
-    random, including handles for already-pulled overflow entries and
-    handles that already fired (a no-op).
+    Delays are drawn from three bands: same-cycle, near and far-future;
+    handles are cancelled at random, including handles that already
+    fired (a no-op).
 
     ``windowed`` drives the engine as a sequence of ``run(until=t)``
     windows of random length (zero included) instead of one ``run()``,
@@ -171,9 +169,9 @@ def _random_program(engine, seed, size, windowed=False):
             if band < 0.4:
                 delay = rng.randrange(3)
             elif band < 0.8:
-                delay = rng.randrange(WINDOW * 3)
+                delay = rng.randrange(SPAN * 3)
             else:
-                delay = rng.randrange(WINDOW * 20, WINDOW * 40)
+                delay = rng.randrange(SPAN * 20, SPAN * 40)
             tag2 = f"{tag}.{k}"
             choice = rng.random()
             if choice < 0.35:
@@ -195,7 +193,7 @@ def _random_program(engine, seed, size, windowed=False):
         return order, engine.events_executed, engine.pending
     bound = 0
     while engine.peek_time() is not None:
-        bound += rng.randrange(WINDOW * 4)
+        bound += rng.randrange(SPAN * 4)
         returned = engine.run(until=bound)
         assert engine.pending >= 0
         windows.append((bound, returned, engine.now, engine.pending,
@@ -206,9 +204,9 @@ def _random_program(engine, seed, size, windowed=False):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_calendar_matches_reference_heap_order(seed):
-    calendar = _random_program(Engine(window=WINDOW), seed, 400)
+    actual = _random_program(Engine(), seed, 400)
     reference = _random_program(ReferenceEngine(), seed, 400)
-    assert calendar == reference
+    assert actual == reference
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -216,11 +214,11 @@ def test_calendar_matches_reference_heap_order(seed):
 def test_windowed_runs_with_stop_match_reference(seed):
     """``run(until=t)`` windows and in-callback ``stop()`` keep the
     reference order, event count and ``pending`` after every window."""
-    calendar = _random_program(Engine(window=WINDOW), seed, 400,
+    actual = _random_program(Engine(), seed, 400,
                                windowed=True)
     reference = _random_program(ReferenceEngine(), seed, 400,
                                 windowed=True)
-    assert calendar == reference
+    assert actual == reference
 
 
 def test_windowed_driver_exercises_stops_and_clamps():
@@ -229,14 +227,14 @@ def test_windowed_driver_exercises_stops_and_clamps():
     their bound."""
     windows = []
     for seed in range(10):
-        windows += _random_program(Engine(window=WINDOW), seed, 400,
+        windows += _random_program(Engine(), seed, 400,
                                    windowed=True)[3]
     assert any(returned < bound for bound, returned, *_ in windows)
     assert any(returned == bound for bound, returned, *_ in windows)
 
 
 @given(
-    delays=st.lists(st.integers(min_value=1, max_value=WINDOW * 40),
+    delays=st.lists(st.integers(min_value=1, max_value=SPAN * 40),
                     min_size=1, max_size=200),
     cancel_mask=st.lists(st.booleans(), min_size=1, max_size=200),
 )
@@ -244,7 +242,7 @@ def test_windowed_driver_exercises_stops_and_clamps():
 def test_cancellation_storm_compaction_accounting(delays, cancel_mask):
     """Pre-run cancellation storms compact identically: the trigger
     rule counts every pending entry the same way in both engines."""
-    fired = {"calendar": [], "reference": []}
+    fired = {"actual": [], "reference": []}
 
     def load(engine, key):
         handles = [engine.call_after(d, fired[key].append, i)
@@ -257,14 +255,14 @@ def test_cancellation_storm_compaction_accounting(delays, cancel_mask):
     saved = engine_mod._COMPACT_MIN_CANCELLED
     engine_mod._COMPACT_MIN_CANCELLED = 16
     try:
-        calendar = load(Engine(window=WINDOW), "calendar")
+        actual = load(Engine(), "actual")
     finally:
         engine_mod._COMPACT_MIN_CANCELLED = saved
     reference = load(ReferenceEngine(compact_min=16), "reference")
-    assert calendar.compactions == reference.compactions
-    assert calendar.pending == reference.pending
-    calendar.run()
+    assert actual.compactions == reference.compactions
+    assert actual.pending == reference.pending
+    actual.run()
     reference.run()
-    assert fired["calendar"] == fired["reference"]
-    assert calendar.events_executed == reference.events_executed
-    assert calendar.compactions == reference.compactions
+    assert fired["actual"] == fired["reference"]
+    assert actual.events_executed == reference.events_executed
+    assert actual.compactions == reference.compactions

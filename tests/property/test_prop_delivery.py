@@ -9,7 +9,7 @@ discipline in force.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.synth import SynthApplication
@@ -58,12 +58,33 @@ def _synth_machine(delivery, group_size, t_betw, seed):
        t_betw=st.integers(min_value=30, max_value=2_000),
        seed=st.integers(min_value=1, max_value=100))
 @settings(max_examples=5, deadline=None)
+# A damq pressure eviction and a zerocopy ring fault that switch the
+# job to buffered mode in the cycle a handler disposes its hardware
+# message (see test_admission_time_switch_grid_clean).
+@example(group_size=6, t_betw=172, seed=6)
+@example(group_size=6, t_betw=60, seed=6)
 def test_synth_invariants_clean(delivery, group_size, t_betw, seed):
     """Random synth runs keep every delivery invariant, per discipline."""
     _machine, _job, checker = _synth_machine(delivery, group_size,
                                              t_betw, seed)
     violations = checker.check()
     assert not violations, "\n".join(map(str, violations))
+
+
+@pytest.mark.parametrize("group_size", (5, 6))
+@pytest.mark.parametrize("delivery", ("zerocopy", "damq"))
+def test_admission_time_switch_grid_clean(delivery, group_size):
+    """A fixed grid over the shapes where an admission-time switch to
+    buffered mode (zerocopy ring fault, damq pressure eviction) can
+    land while a handler holds the hardware head: every run finishes
+    and keeps every delivery invariant. Before the held head was freed
+    in hardware, one run per discipline died with ``bad-dispose``."""
+    for t_betw in range(60, 391, 14):
+        for seed in range(1, 8):
+            _machine, _job, checker = _synth_machine(delivery, group_size,
+                                                     t_betw, seed)
+            violations = checker.check()
+            assert not violations, (t_betw, seed, violations)
 
 
 @pytest.mark.parametrize("delivery", DELIVERY_KINDS)

@@ -61,6 +61,150 @@ class TestScheduling:
         assert engine.peek_time() == 9
 
 
+class TestOrdering:
+    """Global ``(time, seq)`` FIFO, for near and far-future entries."""
+
+    def test_far_future_entries_execute_in_order(self, engine):
+        fired = []
+        # Far-future entries, scheduled out of order.
+        for t in (300, 100, 200, 100):
+            engine.schedule(t, fired.append, t)
+        engine.call_after(3, fired.append, 3)
+        engine.run()
+        assert fired == [3, 100, 100, 200, 300]
+        assert engine.now == 300
+        assert engine.events_executed == 5
+
+    def test_earlier_schedule_runs_first_at_same_time(self, engine):
+        """An entry scheduled long before time T runs before one
+        scheduled for T later on."""
+        order = []
+        target = 40
+        engine.schedule(target, order.append, "early")
+
+        def late_inserter():
+            engine.schedule(target, order.append, "late")
+
+        engine.schedule(30, late_inserter)
+        engine.run()
+        assert order == ["early", "late"]
+
+    def test_mixed_times_run_in_time_then_schedule_order(self, engine):
+        fired = []
+        for t in (9, 4, 4, 100, 1):
+            engine.schedule(t, fired.append, t)
+        engine.run()
+        assert fired == [1, 4, 4, 9, 100]
+
+
+class TestCancellation:
+    def test_cancel_pending_entry(self, engine):
+        ran = []
+        entry = engine.call_after(5, ran.append, 1)
+        entry.cancel()
+        assert engine.pending == 0
+        engine.run()
+        assert ran == []
+        assert engine.events_executed == 0
+
+    def test_cancel_far_future_entry(self, engine):
+        """A cancelled entry never moves the clock."""
+        ran = []
+        entry = engine.call_after(1000, ran.append, 1)
+        engine.call_after(3, ran.append, 2)
+        entry.cancel()
+        assert engine.pending == 1
+        engine.run()
+        assert ran == [2]
+        assert engine.now == 3
+
+    def test_cancel_from_callback_before_due(self, engine):
+        ran = []
+        entry = engine.call_at(40, ran.append, "cancelled")
+        engine.call_at(35, entry.cancel)
+        engine.run()
+        assert ran == []
+        assert engine.events_executed == 1
+
+    def test_peek_time_skips_cancelled_heads(self, engine):
+        near = engine.call_after(3, lambda: None)
+        far = engine.call_after(1000, lambda: None)
+        assert engine.peek_time() == 3
+        near.cancel()
+        assert engine.peek_time() == 1000
+        far.cancel()
+        assert engine.peek_time() is None
+
+    def test_compaction_exact_accounting(self, engine):
+        import repro.sim.engine as engine_mod
+
+        keep_near = engine.call_after(5, lambda: None)
+        keep_far = engine.call_after(5000, lambda: None)
+        cancelled = []
+        for i in range(600):
+            cancelled.append(engine.call_after(1000 + i, lambda: None))
+        assert engine.pending == 602
+        for entry in cancelled:
+            entry.cancel()
+        assert engine.compactions >= 1
+        # The sweep fires on the cancellation crossing the threshold
+        # and removes exactly the entries cancelled so far; the rest
+        # stay lazily deleted (below threshold), with exact accounting.
+        threshold = engine_mod._COMPACT_MIN_CANCELLED
+        assert engine._cancelled_pending == 600 - threshold
+        assert engine.pending == 2
+        assert not keep_near.cancelled and not keep_far.cancelled
+        engine.run()
+        assert engine.events_executed == 2
+
+
+class TestStopAndStepping:
+    def test_stop_halts_unbounded_run(self, engine):
+        ran = []
+        engine.call_after(5, ran.append, 5)
+        engine.call_after(5, engine.stop)
+        engine.call_after(50, ran.append, 50)
+        engine.run()
+        assert ran == [5]
+        assert engine.now == 5
+        assert engine.pending == 1
+        engine.run()  # stop flag is cleared by run()
+        assert ran == [5, 50]
+
+    def test_stop_accepts_event_value(self, engine):
+        done = Event("done")
+        done.subscribe(engine.stop)
+        engine.call_after(5, done.trigger, "value")
+        engine.call_after(50, lambda: None)
+        engine.run()
+        assert engine.now == 5
+
+    def test_stop_halts_after_current_event(self, engine):
+        """stop() ends the run after the event that raised it, even
+        with more events due in the same cycle."""
+        ran = []
+        engine.call_after(5, engine.stop)
+        engine.call_after(5, ran.append, "same-cycle")
+        engine.run()
+        assert ran == []
+        assert engine.now == 5
+        assert engine.pending == 1
+        engine.run()
+        assert ran == ["same-cycle"]
+
+    def test_max_events_steps_one_event_at_a_time(self, engine):
+        fired = []
+        engine.call_soon(fired.append, "now")
+        engine.call_after(3, fired.append, "near")
+        engine.call_after(1000, fired.append, "far")
+        while engine.peek_time() is not None:
+            engine.run(max_events=1)
+        assert fired == ["now", "near", "far"]
+        assert engine.now == 1000
+        assert engine.run(max_events=1) == 1000
+        assert engine.events_executed == 3
+
+
 class TestEvents:
     def test_double_trigger_raises(self):
         event = Event("x")

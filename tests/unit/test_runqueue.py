@@ -36,7 +36,6 @@ class TestRunQueueBasics:
         ran = []
         engine.call_at(0, lambda: ran.append(engine.now))
         assert engine.pending == 1
-        assert engine.overflow_scheduled == 0
         engine.run()
         assert ran == [0]
         assert engine.pending == 0
